@@ -53,8 +53,13 @@ def _validate(cfg: RunConfig, parser: argparse.ArgumentParser, strata_cap: bool 
 
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # exit code 1 means a failed verification; an unwritable path is usage
+            sys.stderr.write(f"braidchow: error: cannot write --output {output}: {exc.strerror}\n")
+            raise SystemExit(2) from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -106,8 +111,6 @@ def _numeric_tables(cfg: RunConfig) -> dict[str, dict]:
 
 def cmd_numeric(cfg: RunConfig, parser) -> int:
     _validate(cfg, parser, strata_cap=cfg.method == "strata")
-    if cfg.method == "lattice" and cfg.max_n > 12:
-        parser.error("lattice enumeration is capped at n = 12")
     tables = _numeric_tables(cfg)
     chi = euler_chars(cfg.max_n)
     mismatches = []

@@ -31,41 +31,15 @@ from itertools import combinations
 from .combinat import set_partitions
 from .tpoly import TPoly
 
-QPoly = TPoly
-
 # A vertex is (level, markings, children); markings is a sorted tuple of
-# labels, children a tuple of vertices sorted by _node_key.
+# labels, children a sorted tuple of vertices.  With integer labels the
+# natural tuple order is a total order on vertices, so sorting gives every
+# tree one canonical form.
 Node = tuple
 
 
-class _Token:
-    """Placeholder marking for a block of labels; compares by identity."""
-
-    __slots__ = ("labels",)
-
-    def __init__(self, labels: tuple):
-        self.labels = labels
-
-
-def _label_key(x):
-    if isinstance(x, int):
-        return (0, (x,))
-    if isinstance(x, _Token):
-        return (1, tuple(_label_key(y) for y in x.labels))
-    raise TypeError(f"unexpected marking {x!r}")
-
-
-def _node_key(node: Node):
-    level, marks, children = node
-    return (level, tuple(_label_key(m) for m in marks), tuple(_node_key(c) for c in children))
-
-
 def _make_node(level, marks, children) -> Node:
-    return (
-        level,
-        tuple(sorted(marks, key=_label_key)),
-        tuple(sorted(children, key=_node_key)),
-    )
+    return (level, tuple(sorted(marks)), tuple(sorted(children)))
 
 
 def _partitions_min2(labels: tuple):
@@ -87,13 +61,13 @@ def _partitions_min2(labels: tuple):
                 yield (block,)
 
 
-def _replace_tokens(node: Node, tokens: set, new_level: int) -> Node:
+def _replace_blocks(node: Node, blocks: dict, new_level: int) -> Node:
     level, marks, children = node
     kept = []
-    new_children = [_replace_tokens(c, tokens, new_level) for c in children]
+    new_children = [_replace_blocks(c, blocks, new_level) for c in children]
     for m in marks:
-        if isinstance(m, _Token) and id(m) in tokens:
-            new_children.append(_make_node(new_level, m.labels, ()))
+        if m in blocks:
+            new_children.append(_make_node(new_level, blocks[m], ()))
         else:
             kept.append(m)
     return _make_node(level, kept, new_children)
@@ -104,17 +78,19 @@ def _enumerate(labels: tuple):
     n = len(labels)
     if n >= 2:
         yield _make_node(0, (0, *labels), ()), 0
-    # shed a subset into blocks of size >= 2; the rest stay plain markings
+    # shed a subset into blocks of size >= 2; the rest stay plain markings.
+    # Each block stands in the smaller tree as a fresh label above every
+    # label in use, so the recursion sees integers only.
+    fresh = max(labels, default=0) + 1
     for shed_size in range(2, n + 1):
         for shed_idx in combinations(range(n), shed_size):
             shed_set = set(shed_idx)
             shed = tuple(labels[i] for i in shed_idx)
             kept = tuple(labels[i] for i in range(n) if i not in shed_set)
             for blocks in _partitions_min2(shed):
-                tokens = tuple(_Token(tuple(sorted(b, key=_label_key))) for b in blocks)
-                ids = {id(tok) for tok in tokens}
-                for sub, top in _enumerate(kept + tokens):
-                    yield _replace_tokens(sub, ids, top + 1), top + 1
+                stand_ins = dict(zip(range(fresh, fresh + len(blocks)), blocks))
+                for sub, top in _enumerate(kept + tuple(stand_ins)):
+                    yield _replace_blocks(sub, stand_ins, top + 1), top + 1
 
 
 @dataclass(frozen=True)
@@ -264,35 +240,45 @@ def enumerate_level_trees(n: int):
 
 
 @lru_cache(maxsize=None)
-def open_part_count(deg: int) -> QPoly:
+def open_part_count(deg: int) -> TPoly:
     """Count for distinct points on a line minus two: (q-2)(q-3)...(q-deg+2)."""
-    poly = QPoly.const(1)
+    poly = TPoly.const(1)
     for i in range(2, deg - 1):
-        poly = poly * QPoly((-i, 1))
+        poly = poly * TPoly((-i, 1))
     return poly
 
 
-def stratum_epoly(tree: LevelTree) -> QPoly:
+def stratum_epoly(tree: LevelTree) -> TPoly:
     """Per-tree point count: product over levels of (q-1)^(vertices-1) times
     the open-part counts of the vertex degrees."""
-    poly = QPoly.const(1)
+    poly = TPoly.const(1)
     for deg in tree.degrees():
         poly = poly * open_part_count(deg)
     excess = sum(size - 1 for size in tree.level_sizes().values())
-    return poly * QPoly((-1, 1)) ** excess
+    return poly * TPoly((-1, 1)) ** excess
 
 
-def epoly_Bn(n: int) -> QPoly:
+@lru_cache(maxsize=None)
+def _tree_tally(n: int) -> tuple[tuple[tuple[int, tuple[int, ...], int], int], ...]:
+    """One pass over every level tree on {0, ..., n}, tallied as
+    (number of levels, sorted vertex degrees, excess) -> number of trees,
+    where excess = sum over levels of (vertices - 1).  Only this small tally
+    is cached, never the trees, so memory stays that of the streaming walk."""
+    tally: Counter = Counter()
+    for tree in enumerate_level_trees(n):
+        sizes = tree.level_sizes()
+        excess = sum(size - 1 for size in sizes.values())
+        tally[(len(sizes), tuple(sorted(tree.degrees())), excess)] += 1
+    return tuple(tally.items())
+
+
+def epoly_Bn(n: int) -> TPoly:
     """Sum of stratum counts over every level tree: the brute-force oracle
     for the degree-n rank polynomial.  Trees are grouped by their degree
     multiset before the polynomial work; grouping changes nothing but time."""
-    signatures: Counter = Counter()
-    for tree in enumerate_level_trees(n):
-        key = (tuple(sorted(tree.degrees())), sum(s - 1 for s in tree.level_sizes().values()))
-        signatures[key] += 1
-    total = QPoly()
-    for (degs, excess), count in signatures.items():
-        poly = QPoly.const(count) * QPoly((-1, 1)) ** excess
+    total = TPoly()
+    for (_length, degs, excess), count in _tree_tally(n):
+        poly = TPoly.const(count) * TPoly((-1, 1)) ** excess
         for deg in degs:
             poly = poly * open_part_count(deg)
         total = total + poly
@@ -300,11 +286,11 @@ def epoly_Bn(n: int) -> QPoly:
 
 
 def level_tree_census(n: int) -> dict[int, int]:
-    """Number of level trees by number of levels."""
-    counts: dict[int, int] = {}
-    for tree in enumerate_level_trees(n):
-        counts[tree.length] = counts.get(tree.length, 0) + 1
-    return counts
+    """Number of level trees by number of levels (a new dict on every call)."""
+    counts: Counter = Counter()
+    for (length, _degs, _excess), count in _tree_tally(n):
+        counts[length] += count
+    return dict(sorted(counts.items()))
 
 
 # -- partition-lattice chain counts (independent census oracle) ---------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import Partition
+from .partitions import Partition, is_partition
 from .symseries import SymSeries
 from .tpoly import TPoly, format_poly
 
@@ -35,7 +35,13 @@ def series_from_obj(obj: dict, n_max: int | None = None) -> SymSeries:
         n_max = obj["n"]
     terms = {}
     for rec in obj["terms"]:
-        key = (tuple(rec["partition"]), rec["t"])
+        parts = tuple(rec["partition"])
+        if not is_partition(parts) or sum(parts) > n_max:
+            raise ValueError(
+                f"term {rec!r}: partition must be weakly decreasing positive parts"
+                f" summing to at most {n_max}"
+            )
+        key = (parts, rec["t"])
         terms[key] = terms.get(key, Fraction(0)) + Fraction(rec["coeff"])
     return SymSeries(n_max, terms)
 

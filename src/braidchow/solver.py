@@ -23,6 +23,7 @@ rebuilds B stratum layer by stratum layer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -194,23 +195,25 @@ def hnum_lattice(n_max: int) -> NumericTable:
 
     Deliberately independent of the Bell-polynomial closed form: every set
     partition contributes the product of omega_{block size}(t-1) over its
-    blocks."""
+    blocks.  The partitions are tallied by block-size multiset first, so the
+    polynomial product is formed once per shape rather than once per
+    partition; the walk still visits every partition."""
     if n_max > 12:
         raise ValueError("set-partition enumeration is capped at n_max = 12")
     hnum: dict[int, TPoly] = {1: TPoly.const(1)}
     for n in range(2, n_max + 1):
-        by_k: dict[int, TPoly] = {}
+        shapes: Counter = Counter()
         for blocks in set_partitions(range(1, n + 1)):
-            k = len(blocks)
+            shapes[tuple(sorted(len(block) for block in blocks))] += 1
+        rhs = TPoly()
+        for shape, count in shapes.items():
+            k = len(shape)
             if k == n:
                 continue  # the all-singletons partition is the excluded bottom flat
-            prod = TPoly.const(1)
-            for block in blocks:
-                prod = prod * omega_shifted(len(block))
-            by_k[k] = by_k.get(k, TPoly()) + prod
-        rhs = TPoly()
-        for k, poly in by_k.items():
-            rhs = rhs + hnum[k] * poly
+            prod = TPoly.const(count)
+            for size in shape:
+                prod = prod * omega_shifted(size)
+            rhs = rhs + hnum[k] * prod
         hnum[n] = rhs.divexact(T_MINUS_ONE)
     return NumericTable.from_hnum(hnum)
 

@@ -60,6 +60,14 @@ def test_latex_row_formatting():
     assert row == "$4$ & $s_4(1 + 3t + t^2) + s_{31}t + s_{22}t$ \\\\"
 
 
+@pytest.mark.parametrize("partition", [[1, 2], [3], [2, 1], [2, 0], [-1, 3]], ids=str)
+def test_series_from_obj_rejects_bad_partitions(partition):
+    term = {"partition": partition, "t": 0, "coeff": "1"}
+    with pytest.raises(ValueError, match="term") as exc:
+        series_from_obj({"n": 2, "terms": [term]})
+    assert repr(term) in str(exc.value)
+
+
 # -- table command -------------------------------------------------------------------
 
 
@@ -116,6 +124,17 @@ def test_table_output_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(target.read_text())
     assert [entry["n"] for entry in payload] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("args", [("table", "--max-n", "3"), ("strata", "--n", "3")])
+@pytest.mark.parametrize("unwritable", ["missing directory", "directory"])
+def test_output_to_unwritable_path_is_usage_error(tmp_path, capsys, args, unwritable):
+    target = tmp_path / "missing" / "out.json" if unwritable == "missing directory" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--output", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(target) in err
 
 
 def test_table_csv(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from braidchow import leveltrees
 from braidchow.leveltrees import (
     LevelTree,
     chain_count,
@@ -58,6 +59,33 @@ def test_all_markings_present():
         for t in enumerate_level_trees(n):
             marks = sorted(m for _l, ms, _c in t.vertices() for m in ms)
             assert marks == list(range(n + 1))
+
+
+def test_census_and_epoly_share_one_enumeration(monkeypatch):
+    calls = []
+    original = leveltrees.enumerate_level_trees
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(leveltrees, "enumerate_level_trees", counting)
+    leveltrees._tree_tally.cache_clear()
+    try:
+        census = level_tree_census(5)
+        poly = epoly_Bn(5)
+    finally:
+        leveltrees._tree_tally.cache_clear()
+    assert calls == [5]
+    assert census == {1: 1, 2: 50, 3: 205, 4: 180}
+    assert poly == TPoly((1, 41, 41, 1))
+
+
+def test_census_result_is_not_shared():
+    first = level_tree_census(4)
+    first[1] = 99
+    first[7] = 1
+    assert level_tree_census(4) == {1: 1, 2: 13, 3: 18}
 
 
 def test_max_levels_is_n_minus_1():

@@ -1,8 +1,11 @@
+from collections import Counter
 from math import factorial
 
 import pytest
 
+from braidchow import solver
 from braidchow.characters import schur_expand, schur_series
+from braidchow.combinat import omega_shifted, set_partitions
 from braidchow.graded import GradedSeries
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
@@ -19,7 +22,7 @@ from braidchow.solver import (
     verify_functional_equation,
 )
 from braidchow.symseries import PlethysmCache, SymSeries
-from braidchow.tpoly import TPoly
+from braidchow.tpoly import T_MINUS_ONE, TPoly
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +216,42 @@ def test_four_routes_agree(B8):
     bell = hnum_bell(8).hnum
     lattice = hnum_lattice(8).hnum
     assert solver == stirling == bell == lattice
+
+
+def per_partition_lattice(n_max):
+    """The lattice recursion with one product chain per set partition."""
+    hnum = {1: TPoly.const(1)}
+    for n in range(2, n_max + 1):
+        rhs = TPoly()
+        for blocks in set_partitions(range(1, n + 1)):
+            if len(blocks) == n:
+                continue
+            prod = hnum[len(blocks)]
+            for block in blocks:
+                prod = prod * omega_shifted(len(block))
+            rhs = rhs + prod
+        hnum[n] = rhs.divexact(T_MINUS_ONE)
+    return hnum
+
+
+def test_lattice_shape_grouping_matches_per_partition_sum():
+    assert hnum_lattice(7).hnum == per_partition_lattice(7)
+
+
+def test_lattice_walks_every_set_partition(monkeypatch):
+    walked = Counter()
+    original = solver.set_partitions
+
+    def counting(elements):
+        elements = list(elements)
+        for blocks in original(elements):
+            walked[len(elements)] += 1
+            yield blocks
+
+    monkeypatch.setattr(solver, "set_partitions", counting)
+    hnum_lattice(10)
+    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]  # OEIS A000110
+    assert walked == {n: bell[n] for n in range(2, 11)}
 
 
 def test_lattice_cap():
