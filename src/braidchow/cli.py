@@ -15,9 +15,10 @@ fails, 2 on usage errors.  All numbers are emitted as exact strings.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
-from dataclasses import dataclass
 
 from . import checks, serialize
 from .characters import schur_expand
@@ -33,22 +34,36 @@ from .solver import (
 )
 
 METHODS = ("solve", "stirling", "bell", "lattice", "strata", "all")
+MAX_N = 12  # the --max-n cap
+STRATA_MAX_N = 7  # level-tree enumeration: 262,760 trees at n = 7
 
 
-@dataclass
-class RunConfig:
-    max_n: int = 8
-    method: str = "all"
-    basis: str = "schur"
-    format: str = "json"
-    output: str | None = None
+def _check_max_n(max_n: int, parser: argparse.ArgumentParser):
+    if not 2 <= max_n <= MAX_N:
+        parser.error(f"--max-n must be between 2 and {MAX_N}, got {max_n}")
 
 
-def _validate(cfg: RunConfig, parser: argparse.ArgumentParser, strata_cap: bool = False):
-    if not 2 <= cfg.max_n <= 12:
-        parser.error(f"--max-n must be between 2 and 12, got {cfg.max_n}")
-    if strata_cap and cfg.max_n > 7:
-        parser.error("strata enumeration is capped at n = 7")
+def _output_error(output: str, reason: str):
+    # exit code 1 means a failed verification; an unwritable path is usage
+    sys.stderr.write(f"braidchow: error: cannot write --output {output}: {reason}\n")
+    raise SystemExit(2)
+
+
+def _check_output(output: str | None):
+    """Reject an --output that cannot be written before anything is computed;
+    the file is neither created nor truncated here."""
+    if not output:
+        return
+    parent = os.path.dirname(os.path.abspath(output))
+    if os.path.isdir(output):
+        err = errno.EISDIR
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(output if os.path.exists(output) else parent, os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    _output_error(output, os.strerror(err))
 
 
 def _emit(text: str, output: str | None):
@@ -57,9 +72,7 @@ def _emit(text: str, output: str | None):
             with open(output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            # exit code 1 means a failed verification; an unwritable path is usage
-            sys.stderr.write(f"braidchow: error: cannot write --output {output}: {exc.strerror}\n")
-            raise SystemExit(2) from None
+            _output_error(output, exc.strerror)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -70,51 +83,55 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
-def cmd_table(cfg: RunConfig, parser) -> int:
-    _validate(cfg, parser)
-    B = solve_B(m_series(cfg.max_n))
-    if cfg.basis == "p":
-        components = {n: B.component(n) for n in range(2, cfg.max_n + 1)}
-        if cfg.format == "json":
+def cmd_table(args: argparse.Namespace, parser) -> int:
+    _check_max_n(args.max_n, parser)
+    if args.basis == "p" and args.format == "latex":
+        parser.error("latex output is only available in the schur basis")
+    _check_output(args.output)
+    B = solve_B(m_series(args.max_n))
+    if args.basis == "p":
+        components = {n: B.component(n) for n in range(2, args.max_n + 1)}
+        if args.format == "json":
             payload = [serialize.series_to_obj(n, components[n]) for n in sorted(components)]
-            _emit(_json(payload), cfg.output)
-        elif cfg.format == "csv":
-            _emit(serialize.series_csv(components), cfg.output)
+            _emit(_json(payload), args.output)
         else:
-            parser.error("latex output is only available in the schur basis")
+            _emit(serialize.series_csv(components), args.output)
         return 0
-    tables = {n: schur_expand(B.component(n), n) for n in range(2, cfg.max_n + 1)}
-    if cfg.format == "json":
+    tables = {n: schur_expand(B.component(n), n) for n in range(2, args.max_n + 1)}
+    if args.format == "json":
         payload = [serialize.schur_table_to_obj(n, tables[n]) for n in sorted(tables)]
-        _emit(_json(payload), cfg.output)
-    elif cfg.format == "csv":
-        _emit(serialize.schur_tables_csv(tables), cfg.output)
+        _emit(_json(payload), args.output)
+    elif args.format == "csv":
+        _emit(serialize.schur_tables_csv(tables), args.output)
     else:
-        _emit(serialize.schur_tables_latex(tables), cfg.output)
+        _emit(serialize.schur_tables_latex(tables), args.output)
     return 0
 
 
-def _numeric_tables(cfg: RunConfig) -> dict[str, dict]:
+def _numeric_tables(max_n: int, method: str) -> dict[str, dict]:
     tables = {}
-    if cfg.method in ("solve", "all"):
-        tables["solve"] = hnum_from_solver(solve_B(m_series(cfg.max_n))).hnum
-    if cfg.method in ("stirling", "all"):
-        tables["stirling"] = hnum_stirling(cfg.max_n).hnum
-    if cfg.method in ("bell", "all"):
-        tables["bell"] = hnum_bell(cfg.max_n).hnum
-    if cfg.method in ("lattice", "all"):
-        tables["lattice"] = hnum_lattice(cfg.max_n).hnum
-    if cfg.method == "strata" or (cfg.method == "all" and cfg.max_n <= 7):
-        tables["strata"] = {n: epoly_Bn(n) for n in range(2, cfg.max_n + 1)}
+    if method in ("solve", "all"):
+        tables["solve"] = hnum_from_solver(solve_B(m_series(max_n))).hnum
+    if method in ("stirling", "all"):
+        tables["stirling"] = hnum_stirling(max_n).hnum
+    if method in ("bell", "all"):
+        tables["bell"] = hnum_bell(max_n).hnum
+    if method in ("lattice", "all"):
+        tables["lattice"] = hnum_lattice(max_n).hnum
+    if method == "strata" or (method == "all" and max_n <= STRATA_MAX_N):
+        tables["strata"] = {n: epoly_Bn(n) for n in range(2, max_n + 1)}
     return tables
 
 
-def cmd_numeric(cfg: RunConfig, parser) -> int:
-    _validate(cfg, parser, strata_cap=cfg.method == "strata")
-    tables = _numeric_tables(cfg)
-    chi = euler_chars(cfg.max_n)
+def cmd_numeric(args: argparse.Namespace, parser) -> int:
+    _check_max_n(args.max_n, parser)
+    if args.method == "strata" and args.max_n > STRATA_MAX_N:
+        parser.error(f"strata enumeration is capped at n = {STRATA_MAX_N}")
+    _check_output(args.output)
+    tables = _numeric_tables(args.max_n, args.method)
+    chi = euler_chars(args.max_n)
     mismatches = []
-    for n in range(2, cfg.max_n + 1):
+    for n in range(2, args.max_n + 1):
         values = {name: h[n] for name, h in tables.items() if n in h}
         if len({tuple(p.coeffs) for p in values.values()}) > 1:
             mismatches.append((n, {name: str(p) for name, p in values.items()}))
@@ -128,10 +145,10 @@ def cmd_numeric(cfg: RunConfig, parser) -> int:
         if n >= 1
     ]
     payload = {"methods": sorted(tables), "rows": rows}
-    if cfg.format == "csv":
-        _emit(serialize.numeric_csv(rows), cfg.output)
+    if args.format == "csv":
+        _emit(serialize.numeric_csv(rows), args.output)
     else:
-        _emit(_json(payload), cfg.output)
+        _emit(_json(payload), args.output)
     if mismatches:
         for n, diff in mismatches:
             sys.stderr.write(f"route mismatch at n={n}: {diff}\n")
@@ -139,43 +156,45 @@ def cmd_numeric(cfg: RunConfig, parser) -> int:
     return 0
 
 
-def cmd_m_series(cfg: RunConfig, parser) -> int:
-    _validate(cfg, parser)
-    M = m_series(cfg.max_n)
-    components = {n: M.component(n) for n in range(2, cfg.max_n + 1)}
-    if cfg.format == "csv":
-        _emit(serialize.series_csv(components), cfg.output)
+def cmd_m_series(args: argparse.Namespace, parser) -> int:
+    _check_max_n(args.max_n, parser)
+    _check_output(args.output)
+    M = m_series(args.max_n)
+    components = {n: M.component(n) for n in range(2, args.max_n + 1)}
+    if args.format == "csv":
+        _emit(serialize.series_csv(components), args.output)
     else:
         payload = [serialize.series_to_obj(n, components[n]) for n in sorted(components)]
-        _emit(_json(payload), cfg.output)
+        _emit(_json(payload), args.output)
     return 0
 
 
-def cmd_strata(n: int, count_only: bool, output: str | None, parser) -> int:
-    if not 2 <= n <= 7:
-        parser.error("strata enumeration supports 2 <= n <= 7")
-    census = level_tree_census(n)
+def cmd_strata(args: argparse.Namespace, parser) -> int:
+    if not 2 <= args.n <= STRATA_MAX_N:
+        parser.error(f"strata enumeration supports 2 <= n <= {STRATA_MAX_N}")
+    _check_output(args.output)
+    census = level_tree_census(args.n)
     payload = {
-        "n": n,
+        "n": args.n,
         "counts": {str(length): census[length] for length in sorted(census)},
         "total": sum(census.values()),
-        "chain_count": chain_count(n),
+        "chain_count": chain_count(args.n),
     }
-    if not count_only:
-        payload["epoly"] = serialize.poly_strings(epoly_Bn(n))
-    _emit(_json(payload), output)
+    if not args.count_only:
+        payload["epoly"] = serialize.poly_strings(epoly_Bn(args.n))
+    _emit(_json(payload), args.output)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, parser) -> int:
-    _validate(cfg, parser)
-    results = checks.run_all(cfg.max_n)
+def cmd_verify(args: argparse.Namespace, parser) -> int:
+    _check_max_n(args.max_n, parser)
+    results = checks.run_all(args.max_n)
     failures = [(name, msg) for name, msg in results if msg is not None]
     if failures:
         name, msg = failures[0]
         print(f"verification failed: {name}: {msg}")
         return 1
-    print(f"all {len(results)} checks passed (max_n = {cfg.max_n})")
+    print(f"all {len(results)} checks passed (max_n = {args.max_n})")
     return 0
 
 
@@ -196,20 +215,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="equivariant Chow polynomials")
     common(p_table)
     p_table.add_argument("--basis", choices=("schur", "p"), default="schur")
+    p_table.set_defaults(func=cmd_table)
 
     p_num = sub.add_parser("numeric", help="rank polynomials and Euler characteristics")
     common(p_num, method=True)
+    p_num.set_defaults(func=cmd_numeric)
 
     p_m = sub.add_parser("m-series", help="the open-curves input series")
     common(p_m)
+    p_m.set_defaults(func=cmd_m_series)
 
     p_strata = sub.add_parser("strata", help="level-tree census and stratum sums")
     p_strata.add_argument("--n", type=int, required=True)
     p_strata.add_argument("--count-only", action="store_true")
     p_strata.add_argument("--output", default=None)
+    p_strata.set_defaults(func=cmd_strata)
 
     p_verify = sub.add_parser("verify", help="run the self-verification suite")
     p_verify.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -217,25 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "strata":
-        return cmd_strata(args.n, args.count_only, args.output, parser)
-    cfg = RunConfig(
-        max_n=args.max_n,
-        method=getattr(args, "method", "all"),
-        basis=getattr(args, "basis", "schur"),
-        format=getattr(args, "format", "json"),
-        output=getattr(args, "output", None),
-    )
-    if args.command == "table":
-        return cmd_table(cfg, parser)
-    if args.command == "numeric":
-        return cmd_numeric(cfg, parser)
-    if args.command == "m-series":
-        return cmd_m_series(cfg, parser)
-    if args.command == "verify":
-        return cmd_verify(cfg, parser)
-    parser.error(f"unknown command {args.command}")
-    return 2
+    return args.func(args, parser)
 
 
 if __name__ == "__main__":

@@ -19,11 +19,9 @@ from math import factorial
 
 from .combinat import omega_shifted
 from .graded import GradedSeries
-from .partitions import Partition, multiplicities, partitions_of, z_lambda
-from .symseries import SymSeries
+from .partitions import Partition, multiplicities, partitions_of
+from .symseries import SymSeries, frobenius_from_character
 from .tpoly import TPoly, T_MINUS_ONE
-
-QPoly = TPoly
 
 _Q_QMINUS1 = TPoly((0, -1, 1))  # q(q - 1)
 
@@ -44,7 +42,7 @@ def _mobius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def necklace(d: int) -> QPoly:
+def necklace(d: int) -> TPoly:
     """Number of degree-d closed points of the affine line: (1/d) sum_{e|d} mu(e) q^{d/e}.
 
     The coefficients are rational (e.g. (q^2 - q)/2 at d = 2); only the
@@ -56,17 +54,17 @@ def necklace(d: int) -> QPoly:
     for e in range(1, d + 1):
         if d % e == 0:
             coeffs[d // e] += Fraction(_mobius(e), d)
-    return QPoly(coeffs)
+    return TPoly(coeffs)
 
 
-def twisted_count(lam: Partition) -> QPoly:
+def twisted_count(lam: Partition) -> TPoly:
     """Configurations on the affine line fixed by a cycle-type-lam twist of
     Frobenius: prod over part sizes d of d^m_d * necklace(d) falling m_d.
 
     Grouping d^m_d into the falling factorial makes every factor
     d*necklace(d) - d*i an integer polynomial, and that integrality is
     asserted."""
-    poly = QPoly.const(1)
+    poly = TPoly.const(1)
     for d, m in multiplicities(lam).items():
         d_nd = necklace(d) * d
         for i in range(m):
@@ -81,21 +79,8 @@ def m_component(n: int) -> SymSeries:
     twisted_count / (q(q-1)) * p_lambda / z_lambda, with q read as t."""
     if n < 2:
         raise ValueError("components start at n = 2")
-    char = {}
-    for lam in partitions_of(n):
-        quotient = twisted_count(lam).divexact(_Q_QMINUS1)
-        char[lam] = quotient
-    return frobenius_like(n, char)
-
-
-def frobenius_like(n: int, char: dict[Partition, TPoly]) -> SymSeries:
-    acc = {}
-    for lam, poly in char.items():
-        z = z_lambda(lam)
-        for k, c in enumerate(poly.coeffs):
-            if c:
-                acc[(lam, k)] = c / z
-    return SymSeries(n, acc)
+    char = {lam: twisted_count(lam).divexact(_Q_QMINUS1) for lam in partitions_of(n)}
+    return frobenius_from_character(n, char)
 
 
 class MSeries(GradedSeries):

@@ -41,7 +41,10 @@ def series_from_obj(obj: dict, n_max: int | None = None) -> SymSeries:
                 f"term {rec!r}: partition must be weakly decreasing positive parts"
                 f" summing to at most {n_max}"
             )
-        key = (parts, rec["t"])
+        t = rec["t"]
+        if type(t) is not int or t < 0:  # rejects bools and floats too
+            raise ValueError(f"term {rec!r}: t must be a non-negative integer")
+        key = (parts, t)
         terms[key] = terms.get(key, Fraction(0)) + Fraction(rec["coeff"])
     return SymSeries(n_max, terms)
 

@@ -1,43 +1,29 @@
 """Acceptance suite: the exit criteria for this artifact, one test per criterion.
 
-Every criterion is exact (integer/rational equality, no tolerances) and each
-test prints a single PASS/FAIL line, so ``pytest -s tests/test_acceptance.py``
-reads as a checklist.
+Every criterion is exact (integer/rational equality, no tolerances).  The
+criteria run the checks of the registry behind ``verify``
+(``braidchow.checks.CHECKS``) at pinned bounds, never below those ``verify``
+uses, plus the few assertions no check makes.  Each test prints a single
+PASS/FAIL line, so ``pytest -s tests/test_acceptance.py`` reads as a checklist.
 """
 
-import json
 import random
 from fractions import Fraction
 from math import factorial
 
-import pytest
-
-from braidchow import cli, combinat
-from braidchow.characters import character_table, schur_expand, schur_series
-from braidchow.combinat import bell_partial, omega_shifted, stirling_bell_identity_check
+from braidchow import checks
+from braidchow.characters import schur_series
 from braidchow.graded import GradedSeries
-from braidchow.leveltrees import (
-    chain_counts_by_length,
-    enumerate_level_trees,
-    epoly_Bn,
-    level_tree_census,
-    unprune,
-)
-from braidchow.partitions import partitions_of
+from braidchow.leveltrees import epoly_Bn, level_tree_census
 from braidchow.pointcounts import m_series
-from braidchow.reference import REFERENCE_TABLE
 from braidchow.solver import (
-    euler_chars,
+    equivariant_table,
     growth_series,
-    hnum_bell,
-    hnum_from_solver,
-    hnum_lattice,
-    hnum_stirling,
-    solve_B,
+    solved_series,
     verify_functional_equation,
 )
 from braidchow.symseries import PlethysmCache, SymSeries, plethysm, rk
-from braidchow.tpoly import T_MINUS_ONE, TPoly
+from braidchow.tpoly import TPoly
 
 
 class _Report:
@@ -54,143 +40,66 @@ class _Report:
         return False
 
 
-@pytest.fixture(scope="module")
-def M10():
-    return m_series(10)
+def run_check(name, *bounds):
+    """Run the registered check ``name`` at the given bounds."""
+    dict(checks.CHECKS)[name](*bounds)
 
 
-@pytest.fixture(scope="module")
-def B10(M10):
-    return solve_B(M10)
-
-
-@pytest.fixture(scope="module")
-def cache10(M10):
-    return PlethysmCache(growth_series(M10))
-
-
-def test_criterion_1_table_reproduction(capsys, tmp_path):
+def test_criterion_1_table_reproduction(capsys):
     with capsys.disabled(), _Report(1, "reference table reproduction for n <= 6"):
-        target = tmp_path / "table.json"
-        code = cli.main(["table", "--max-n", "6", "--output", str(target)])
-        assert code == 0
-        payload = json.loads(target.read_text())
-        assert [entry["n"] for entry in payload] == [2, 3, 4, 5, 6]
-        for entry in payload:
-            got = {
-                tuple(row["lambda"]): tuple(Fraction(c) for c in row["poly"])
-                for row in entry["rows"]
-            }
-            want = {
-                lam: tuple(Fraction(c) for c in cs)
-                for lam, cs in REFERENCE_TABLE[entry["n"]].items()
-            }
-            assert got == want, f"row n={entry['n']} deviates"
+        run_check("reference table reproduction", 6)
         # spot anchor for the n = 6 row
-        row6 = {tuple(r["lambda"]): r["poly"] for r in payload[-1]["rows"]}
-        assert row6[(4, 2)] == ["0", "9", "28", "9"]
+        assert equivariant_table(6)[(4, 2)] == TPoly((0, 9, 28, 9))
 
 
-def test_criterion_2_functional_equation(capsys, B10, M10, cache10):
+def test_criterion_2_functional_equation(capsys):
     with capsys.disabled(), _Report(2, "functional equation through degree 10 + perturbations"):
-        assert verify_functional_equation(B10, M10, cache10)
+        run_check("functional equation", 10)
+        M10 = m_series(10)
+        B10 = solved_series(10)
+        cache = PlethysmCache(growth_series(M10))
         for n in range(2, 11):
             bump = schur_series((n,), 10) * TPoly((0, 1))
             comps = {k: B10.component(k) for k in range(2, 11)}
             comps[n] = comps[n] + bump
-            assert not verify_functional_equation(GradedSeries(10, comps), M10, cache10), n
+            assert not verify_functional_equation(GradedSeries(10, comps), M10, cache), n
 
 
-def test_criterion_3_four_route_agreement(capsys, B10):
+def test_criterion_3_four_route_agreement(capsys):
     with capsys.disabled(), _Report(3, "route agreement: solver/stirling/bell/lattice + strata"):
-        solver = hnum_from_solver(B10).hnum
-        stirling = hnum_stirling(10).hnum
-        bell = hnum_bell(10).hnum
-        lattice = hnum_lattice(10).hnum
-        assert solver == stirling == bell == lattice
-        for n in range(2, 8):
-            assert epoly_Bn(n) == stirling[n], f"strata route deviates at n={n}"
+        run_check("numeric route agreement", 10, 10)
+        run_check("strata oracle", 7)
         assert epoly_Bn(4) == TPoly((1, 8, 1))
         assert epoly_Bn(5) == TPoly((1, 41, 41, 1))
 
 
 def test_criterion_4_euler_characteristics(capsys):
     with capsys.disabled(), _Report(4, "Euler characteristics match H(1) for n <= 12"):
-        chi = euler_chars(12)
-        hnum = hnum_stirling(12).hnum
-        for n in range(1, 13):
-            assert chi[n] == hnum[n].eval(1), n
-        assert [chi[n] for n in (2, 3, 4, 5)] == [1, 2, 10, 84]
+        run_check("euler characteristics", 12)
 
 
-def test_criterion_5_input_series_validation(capsys, M10):
+def test_criterion_5_input_series_validation(capsys):
     with capsys.disabled(), _Report(5, "input series rank polynomials for n <= 10"):
-        for n in range(2, 11):
-            got = M10.component(n).p_coefficient((1,) * n) * factorial(n)
-            expected = TPoly.const(1)
-            for j in range(2, n):
-                expected = expected * TPoly((-j, 1))
-            assert got == expected, n
-            assert omega_shifted(n).divexact(T_MINUS_ONE) == expected, n
+        run_check("input series rank polynomials", 10)
 
 
 def test_criterion_6_level_tree_census(capsys):
     with capsys.disabled(), _Report(6, "tree census vs chain counts (n <= 7) + round-trip"):
-        totals = {}
-        for n in range(2, 8):
-            census = level_tree_census(n)
-            chains = chain_counts_by_length(n)
-            assert {k - 1: v for k, v in census.items()} == chains, n
-            totals[n] = sum(census.values())
-        assert totals[2] == 1 and totals[3] == 4 and totals[4] == 32
-        for n in range(3, 6):
-            for tree in enumerate_level_trees(n):
-                if tree.length > 1:
-                    pruned, assignment = tree.prune()
-                    assert unprune(pruned, assignment) == tree
+        run_check("level tree census", 7)
+        assert [sum(level_tree_census(n).values()) for n in (2, 3, 4)] == [1, 4, 32]
+        run_check("pruning round-trip", 5)
 
 
-def test_criterion_7_structural_properties(capsys, B10):
+def test_criterion_7_structural_properties(capsys):
     with capsys.disabled(), _Report(7, "structural properties of all outputs"):
-        hnum = hnum_stirling(10).hnum
-        for n in range(2, 11):
-            p = hnum[n]
-            assert p.degree == n - 2 and p.is_monic(), n
-            assert p.is_palindromic() and p.is_unimodal(), n
-        for n in range(2, 9):
-            table = schur_expand(B10.component(n), n)
-            chars = character_table(n)
-            for lam, poly in table.items():
-                assert poly.has_integer_coeffs(), (n, lam)
-                assert all(c >= 0 for c in poly.coeffs), (n, lam)
-            for mu in partitions_of(n):
-                value = TPoly()
-                for lam, poly in table.items():
-                    value = value + poly * chars.chi(lam, mu)
-                assert value.has_integer_coeffs() and all(c >= 0 for c in value.coeffs)
+        run_check("structural properties", 10, 8)
 
 
 def test_criterion_8_combinatorial_identities(capsys):
     with capsys.disabled(), _Report(8, "Stirling inversion, Bell identity, t->1 limits"):
-        for n in range(13):
-            for k in range(13):
-                total = sum(
-                    combinat.stirling_first_signed(n, j) * combinat.stirling_second(j, k)
-                    for j in range(k, n + 1)
-                )
-                assert total == (1 if n == k else 0)
-        for n in range(1, 13):
-            for k in range(1, n + 1):
-                assert stirling_bell_identity_check(n, k), (n, k)
-        for n in range(2, 13):
-            for k in range(1, n):
-                poly = bell_partial(n, k, [omega_shifted(i) for i in range(1, n - k + 2)])
-                value = poly.divexact(T_MINUS_ONE).eval(1)
-                expected = Fraction(
-                    factorial(n) * (-1) ** (n - k - 1) * factorial(n - k - 1),
-                    factorial(k - 1) * factorial(n - k + 1),
-                )
-                assert value == expected, (n, k)
+        run_check("stirling triangle inversion", 12)
+        run_check("stirling-bell identity", 12)
+        run_check("bell t->1 limit", 12)
 
 
 def _random_series(rng, n_max, max_terms, pure_sym):
@@ -212,9 +121,7 @@ def _random_series(rng, n_max, max_terms, pure_sym):
 
 def test_criterion_9_plethysm_laws(capsys):
     with capsys.disabled(), _Report(9, "plethysm law suite on seeded random samples"):
-        for a in range(1, 7):
-            for b in range(1, 7):
-                assert plethysm(SymSeries.p(a, a * b), SymSeries.p(b, a * b)) == SymSeries.p(a * b)
+        run_check("plethysm spot identities", 6)
         rng = random.Random(20240814)
         checked = 0
         while checked < 12:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from braidchow import cli, combinat
+from braidchow import checks, cli, combinat, solver
+from braidchow.graded import GradedSeries
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
 from braidchow.serialize import (
@@ -63,6 +64,14 @@ def test_latex_row_formatting():
 @pytest.mark.parametrize("partition", [[1, 2], [3], [2, 1], [2, 0], [-1, 3]], ids=str)
 def test_series_from_obj_rejects_bad_partitions(partition):
     term = {"partition": partition, "t": 0, "coeff": "1"}
+    with pytest.raises(ValueError, match="term") as exc:
+        series_from_obj({"n": 2, "terms": [term]})
+    assert repr(term) in str(exc.value)
+
+
+@pytest.mark.parametrize("t", [1.5, "1", True, -1], ids=repr)
+def test_series_from_obj_rejects_bad_t(t):
+    term = {"partition": [2], "t": t, "coeff": "1"}
     with pytest.raises(ValueError, match="term") as exc:
         series_from_obj({"n": 2, "terms": [term]})
     assert repr(term) in str(exc.value)
@@ -128,13 +137,26 @@ def test_table_output_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [("table", "--max-n", "3"), ("strata", "--n", "3")])
 @pytest.mark.parametrize("unwritable", ["missing directory", "directory"])
-def test_output_to_unwritable_path_is_usage_error(tmp_path, capsys, args, unwritable):
+def test_output_to_unwritable_path_is_usage_error(tmp_path, capsys, monkeypatch, args, unwritable):
+    def compute(*_args):
+        pytest.fail("computed before checking --output")
+
+    monkeypatch.setattr(cli, "solve_B", compute)
+    monkeypatch.setattr(cli, "level_tree_census", compute)
     target = tmp_path / "missing" / "out.json" if unwritable == "missing directory" else tmp_path
     with pytest.raises(SystemExit) as exc:
         cli.main([*args, "--output", str(target)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(target) in err
+
+
+def test_output_check_neither_creates_nor_truncates(tmp_path):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept")
+    cli._check_output(str(new))
+    cli._check_output(str(old))
+    assert not new.exists() and old.read_text() == "kept"
 
 
 def test_table_csv(capsys):
@@ -250,3 +272,64 @@ def test_verify_names_broken_check(capsys, monkeypatch):
     first_fail = next(line for line in out.splitlines() if line.startswith("FAIL"))
     assert "stirling-bell identity" in first_fail
     assert "verification failed: stirling-bell identity" in out
+
+
+def test_verify_catches_a_faulty_solver(capsys, monkeypatch):
+    original = solver.solve_B
+
+    def faulty(M, n_max=None):
+        B = original(M, n_max)
+        comps = dict(B.components)
+        comps[4] = comps[4] + SymSeries.h(4, B.n_max) * TPoly((0, 1))
+        return GradedSeries(B.n_max, comps)
+
+    monkeypatch.setattr(solver, "solve_B", faulty)
+    solver.solved_series.cache_clear()  # the checks read the solution through this cache
+    try:
+        code, out = run_cli(capsys, "verify", "--max-n", "5")
+    finally:
+        solver.solved_series.cache_clear()
+    assert code == 1
+    failed = {line[5:].split(":")[0] for line in out.splitlines() if line.startswith("FAIL")}
+    assert failed == {
+        "functional equation",
+        "reference table reproduction",
+        "numeric route agreement",
+        "level filtration",
+    }
+
+
+# The bounds each check runs at under verify --max-n 2, 8 and 12.  A change
+# here lowers or raises what verify proves; it must be deliberate.
+PINNED_VERIFY_BOUNDS = {
+    "stirling-bell identity": [(2,), (8,), (12,)],
+    "stirling triangle inversion": [(2,), (8,), (12,)],
+    "bell t->1 limit": [(2,), (8,), (12,)],
+    "omega closed form": [(2,), (8,), (12,)],
+    "plethysm spot identities": [(6,), (6,), (6,)],
+    "twisted counts are counts": [(2,), (8,), (8,)],
+    "input series rank polynomials": [(2,), (8,), (12,)],
+    "input series integrality": [(2,), (8,), (8,)],
+    "functional equation": [(2,), (8,), (12,)],
+    "reference table reproduction": [(2,), (6,), (6,)],
+    "numeric route agreement": [(2, 2), (8, 8), (12, 10)],
+    "euler characteristics": [(5,), (8,), (12,)],
+    "structural properties": [(2, 2), (8, 8), (12, 8)],
+    "level filtration": [(2,), (8,), (12,)],
+    "level tree census": [(2,), (6,), (6,)],
+    "strata oracle": [(2,), (6,), (6,)],
+    "pruning round-trip": [(2,), (5,), (5,)],
+    "serialization round-trip": [(2,), (6,), (6,)],
+}
+
+
+@pytest.mark.parametrize("column, max_n", enumerate((2, 8, 12)))
+def test_verify_runs_each_check_at_its_pinned_bounds(monkeypatch, column, max_n):
+    seen = {}
+    recorders = [
+        (name, lambda *bounds, name=name: seen.setdefault(name, bounds))
+        for name, _fn in checks.CHECKS
+    ]
+    monkeypatch.setattr(checks, "CHECKS", recorders)
+    checks.run_all(max_n, report=lambda line: None)
+    assert seen == {name: bounds[column] for name, bounds in PINNED_VERIFY_BOUNDS.items()}
