@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .partitions import Partition, partitions_of, z_lambda
 from .symseries import SymSeries
@@ -90,20 +91,31 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
     """Schur coefficients of a series homogeneous of degree n.
 
     Returns only the nonzero coefficients, as polynomials in t.  Uses
-    <f, s_lam> = sum_mu chi^lam(mu) * (coefficient of p_mu in f).
+    <f, s_lam> = sum_mu chi^lam(mu) * (coefficient of p_mu in f), summed over
+    integer numerators on f's common denominator; one Fraction is built per
+    output coefficient.
     """
     if not f.is_homogeneous(n):
         raise ValueError(f"series is not homogeneous of degree {n}")
     table = character_table(n)
-    mu_polys = {mu: f.p_coefficient(mu) for mu in partitions_of(n)}
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    width = f.t_degree() + 1
+    rows: dict[Partition, list[int]] = {}
+    for (mu, k), c in f.terms.items():
+        row = rows.get(mu)
+        if row is None:
+            row = rows[mu] = [0] * width
+        row[k] = c.numerator * (den // c.denominator)
     out: dict[Partition, TPoly] = {}
     for lam in partitions_of(n):
-        c = TPoly()
-        for mu, poly in mu_polys.items():
-            if poly:
-                c = c + poly * table.chi(lam, mu)
-        if c:
-            out[lam] = c
+        acc = [0] * width
+        for mu, row in rows.items():
+            chi = table.chi(lam, mu)
+            if chi:
+                for k, v in enumerate(row):
+                    acc[k] += chi * v
+        if any(acc):
+            out[lam] = TPoly([Fraction(v, den) for v in acc])
     return out
 
 

@@ -1,8 +1,9 @@
 """The registry of checks, shared by ``verify`` and the acceptance tests.
 
 Each check takes its bound (two checks also take a second bound, for their
-costliest part) and checks exactly up to it; it raises AssertionError with a
-readable message on failure.  ``verify`` runs every check at the bounds that
+costliest part) and checks exactly up to it; it raises CheckFailed with a
+readable message on failure.  The checks never use ``assert``, so they hold
+under ``python -O`` too.  ``verify`` runs every check at the bounds that
 ``VERIFY_BOUNDS`` derives from --max-n; the acceptance tests run them at
 pinned bounds.  The runner reports one status line per check and stops
 nothing, so a single run shows everything that is broken.  Order matters only
@@ -43,12 +44,15 @@ from .symseries import SymSeries, plethysm
 from .tpoly import TPoly, T_MINUS_ONE
 
 
+class CheckFailed(Exception):
+    """A registered check found the program's output wrong."""
+
+
 def check_stirling_bell_identity(n_max: int):
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            assert combinat.stirling_bell_identity_check(n, k), (
-                f"Stirling-Bell identity fails at (n, k) = ({n}, {k})"
-            )
+            if not combinat.stirling_bell_identity_check(n, k):
+                raise CheckFailed(f"Stirling-Bell identity fails at (n, k) = ({n}, {k})")
 
 
 def check_stirling_inversion(n_max: int):
@@ -59,7 +63,8 @@ def check_stirling_inversion(n_max: int):
                 for j in range(k, n + 1)
             )
             expected = 1 if n == k else 0
-            assert total == expected, f"triangle inversion fails at ({n}, {k}): {total}"
+            if total != expected:
+                raise CheckFailed(f"triangle inversion fails at ({n}, {k}): {total}")
 
 
 def check_bell_limit(n_max: int):
@@ -71,7 +76,8 @@ def check_bell_limit(n_max: int):
                 factorial(n) * (-1) ** (n - k - 1) * factorial(n - k - 1),
                 factorial(k - 1) * factorial(n - k + 1),
             )
-            assert value == expected, f"Bell limit at t=1 fails at ({n}, {k}): {value}"
+            if value != expected:
+                raise CheckFailed(f"Bell limit at t=1 fails at ({n}, {k}): {value}")
 
 
 def check_omega_closed_form(n_max: int):
@@ -79,14 +85,16 @@ def check_omega_closed_form(n_max: int):
         closed = TPoly.const(1)
         for i in range(n - 1):
             closed = closed * TPoly((-i, 1))
-        assert omega(n) == closed, f"omega({n}) differs from its closed form"
+        if omega(n) != closed:
+            raise CheckFailed(f"omega({n}) differs from its closed form")
 
 
 def check_plethysm_spots(ab_max: int):
     for a in range(1, ab_max + 1):
         for b in range(1, ab_max + 1):
             lhs = plethysm(SymSeries.p(a, a * b), SymSeries.p(b, a * b))
-            assert lhs == SymSeries.p(a * b), f"p_{a} o p_{b} != p_{a*b}"
+            if lhs != SymSeries.p(a * b):
+                raise CheckFailed(f"p_{a} o p_{b} != p_{a*b}")
     h2 = SymSeries.h(2, 4)
     expected = SymSeries(
         4,
@@ -97,7 +105,8 @@ def check_plethysm_spots(ab_max: int):
             ((4,), 0): Fraction(2, 8),
         },
     )
-    assert plethysm(h2, h2) == expected, "h_2 o h_2 has the wrong expansion"
+    if plethysm(h2, h2) != expected:
+        raise CheckFailed("h_2 o h_2 has the wrong expansion")
 
 
 def check_input_rank_polys(n_max: int):
@@ -107,10 +116,12 @@ def check_input_rank_polys(n_max: int):
         expected = TPoly.const(1)
         for j in range(2, n):
             expected = expected * TPoly((-j, 1))
-        assert got == expected, f"input component {n} differs from prod_(j=2..{n - 1}) (t - j)"
-        assert omega_shifted(n).divexact(T_MINUS_ONE) == expected, (
-            f"omega_{n}(t - 1)/(t - 1) differs from prod_(j=2..{n - 1}) (t - j)"
-        )
+        if got != expected:
+            raise CheckFailed(f"input component {n} differs from prod_(j=2..{n - 1}) (t - j)")
+        if omega_shifted(n).divexact(T_MINUS_ONE) != expected:
+            raise CheckFailed(
+                f"omega_{n}(t - 1)/(t - 1) differs from prod_(j=2..{n - 1}) (t - j)"
+            )
 
 
 def check_input_integrality(n_max: int):
@@ -118,11 +129,10 @@ def check_input_integrality(n_max: int):
     for n in range(2, n_max + 1):
         table = schur_expand(M.component(n), n)
         for lam, poly in table.items():
-            assert poly.has_integer_coeffs(), f"component {n}: s_{lam} coefficient not integral"
-            top_coeff = poly[n - 2]
-            assert top_coeff == (1 if lam == (n,) else 0), (
-                f"component {n}: top t-weight is not the trivial representation"
-            )
+            if not poly.has_integer_coeffs():
+                raise CheckFailed(f"component {n}: s_{lam} coefficient not integral")
+            if poly[n - 2] != (1 if lam == (n,) else 0):
+                raise CheckFailed(f"component {n}: top t-weight is not the trivial representation")
 
 
 def check_twisted_counts(n_max: int):
@@ -131,13 +141,16 @@ def check_twisted_counts(n_max: int):
             poly = twisted_count(lam)
             for q in (2, 3, 4, 5):
                 v = poly.eval(q)
-                assert v == int(v) and v >= 0, f"twisted count {lam} at q={q}: {v}"
+                if v != int(v) or v < 0:
+                    raise CheckFailed(f"twisted count {lam} at q={q}: {v}")
 
 
 def check_functional_equation(n_max: int):
     B = solved_series(n_max)
-    assert verify_functional_equation(B, m_series(n_max)), "functional equation residual is nonzero"
-    assert B.component(2) == SymSeries.h(2, n_max), "degree-2 component is not h_2"
+    if not verify_functional_equation(B, m_series(n_max)):
+        raise CheckFailed("functional equation residual is nonzero")
+    if B.component(2) != SymSeries.h(2, n_max):
+        raise CheckFailed("degree-2 component is not h_2")
 
 
 def check_reference_table(n_max: int):
@@ -145,7 +158,8 @@ def check_reference_table(n_max: int):
     for n in range(2, n_max + 1):
         got = schur_expand(B.component(n), n)
         want = {lam: TPoly(cs) for lam, cs in REFERENCE_TABLE[n].items()}
-        assert got == want, f"table row {n} deviates from the reference values"
+        if got != want:
+            raise CheckFailed(f"table row {n} deviates from the reference values")
 
 
 def check_numeric_routes(n_max: int, lattice_max: int):
@@ -161,55 +175,65 @@ def check_numeric_routes(n_max: int, lattice_max: int):
             name: h.get(n) for name, h in routes.items() if name != "lattice" or n <= lattice_max
         }
         distinct = {p if p is None else tuple(p.coeffs) for p in values.values()}
-        assert len(distinct) == 1, f"numeric routes disagree at n={n}: {values}"
+        if len(distinct) != 1:
+            raise CheckFailed(f"numeric routes disagree at n={n}: {values}")
 
 
 def check_euler_characteristics(n_max: int):
     chi = euler_chars(n_max)
     hnum = hnum_stirling(n_max).hnum
     for n in range(1, n_max + 1):
-        assert chi[n] == hnum[n].eval(1), f"chi_{n} != H_{n}(1)"
-    assert [chi[n] for n in range(2, 6)] == [1, 2, 10, 84], "spot values of chi deviate"
+        if chi[n] != hnum[n].eval(1):
+            raise CheckFailed(f"chi_{n} != H_{n}(1)")
+    if [chi[n] for n in range(2, 6)] != [1, 2, 10, 84]:
+        raise CheckFailed("spot values of chi deviate")
 
 
 def check_structural(n_max: int, schur_max: int):
     hnum = hnum_stirling(n_max).hnum
     for n in range(2, n_max + 1):
         p = hnum[n]
-        assert p.degree == n - 2, f"H_{n} has degree {p.degree}"
-        assert p.is_monic(), f"H_{n} is not monic"
-        assert p.is_palindromic(), f"H_{n} is not palindromic"
-        assert p.is_unimodal(), f"H_{n} is not unimodal"
+        if p.degree != n - 2:
+            raise CheckFailed(f"H_{n} has degree {p.degree}")
+        if not p.is_monic():
+            raise CheckFailed(f"H_{n} is not monic")
+        if not p.is_palindromic():
+            raise CheckFailed(f"H_{n} is not palindromic")
+        if not p.is_unimodal():
+            raise CheckFailed(f"H_{n} is not unimodal")
     B = solved_series(schur_max)
     for n in range(2, schur_max + 1):
         table = schur_expand(B.component(n), n)
         for lam, poly in table.items():
-            assert poly.has_integer_coeffs() and all(c >= 0 for c in poly.coeffs), (
-                f"Schur coefficient of {lam} at n={n} is not a nonnegative integer polynomial"
-            )
+            if not (poly.has_integer_coeffs() and all(c >= 0 for c in poly.coeffs)):
+                raise CheckFailed(
+                    f"Schur coefficient of {lam} at n={n} is not a nonnegative integer polynomial"
+                )
         chars = character_table(n)
         for mu in partitions_of(n):
             value = TPoly()
             for lam, poly in table.items():
                 value = value + poly * chars.chi(lam, mu)
-            assert value.has_integer_coeffs() and all(c >= 0 for c in value.coeffs), (
-                f"character value at mu={mu}, n={n} is not nonnegative integral"
-            )
+            if not (value.has_integer_coeffs() and all(c >= 0 for c in value.coeffs)):
+                raise CheckFailed(f"character value at mu={mu}, n={n} is not nonnegative integral")
 
 
 def check_level_filtration(n_max: int):
     M = m_series(n_max)
     layers = level_filtration(M)
-    assert layers[0].components == M.components, "first filtration layer differs from input"
+    if layers[0].components != M.components:
+        raise CheckFailed("first filtration layer differs from input")
     total = layers[0]
     for layer in layers[1:]:
         total = total + layer
-    assert total == solved_series(n_max), "filtration layers do not sum to the solution"
+    if total != solved_series(n_max):
+        raise CheckFailed("filtration layers do not sum to the solution")
     for idx, layer in enumerate(layers):
         k = idx + 1
         for n in range(2, n_max + 1):
             if k > n - 1:
-                assert not layer.component(n), f"layer {k} has a degree-{n} part"
+                if layer.component(n):
+                    raise CheckFailed(f"layer {k} has a degree-{n} part")
 
 
 def check_tree_census(n_max: int):
@@ -217,13 +241,15 @@ def check_tree_census(n_max: int):
         census = level_tree_census(n)
         chains = chain_counts_by_length(n)
         got = {length - 1: c for length, c in census.items()}
-        assert got == chains, f"census at n={n} deviates from chain counts: {census}"
+        if got != chains:
+            raise CheckFailed(f"census at n={n} deviates from chain counts: {census}")
 
 
 def check_strata_oracle(n_max: int):
     hnum = hnum_stirling(n_max).hnum
     for n in range(2, n_max + 1):
-        assert epoly_Bn(n) == hnum[n], f"stratum sum at n={n} deviates"
+        if epoly_Bn(n) != hnum[n]:
+            raise CheckFailed(f"stratum sum at n={n} deviates")
 
 
 def check_pruning_roundtrip(n_max: int):
@@ -232,15 +258,18 @@ def check_pruning_roundtrip(n_max: int):
             if tree.length == 1:
                 continue
             pruned, assignment = tree.prune()
-            assert unprune(pruned, assignment) == tree, "pruning round-trip failed"
+            if unprune(pruned, assignment) != tree:
+                raise CheckFailed("pruning round-trip failed")
 
 
 def check_serialization_roundtrip(n_max: int):
     B = solved_series(n_max)
     for n, comp in B.components.items():
-        assert series_from_obj(series_to_obj(n, comp), comp.n_max) == comp
+        if series_from_obj(series_to_obj(n, comp), comp.n_max) != comp:
+            raise CheckFailed(f"series component {n} does not survive a JSON round-trip")
         table = schur_expand(comp, n)
-        assert schur_table_from_obj(schur_table_to_obj(n, table)) == table
+        if schur_table_from_obj(schur_table_to_obj(n, table)) != table:
+            raise CheckFailed(f"Schur table {n} does not survive a JSON round-trip")
 
 
 CHECKS: list[tuple[str, Callable[..., None]]] = [
@@ -302,8 +331,8 @@ def run_all(max_n: int, report=print) -> list[tuple[str, str | None]]:
     for name, fn in CHECKS:
         try:
             fn(*(_clamp(max_n, floor, cap) for floor, cap in VERIFY_BOUNDS[name]))
-        except AssertionError as exc:
-            results.append((name, str(exc) or "assertion failed"))
+        except CheckFailed as exc:
+            results.append((name, str(exc)))
             report(f"FAIL {name}: {exc}")
         else:
             results.append((name, None))

@@ -205,15 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method=False):
+    def common(p, formats=("json", "csv"), method=False):
         p.add_argument("--max-n", type=int, default=8, dest="max_n")
-        p.add_argument("--format", choices=("json", "csv", "latex"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--output", default=None)
         if method:
             p.add_argument("--method", choices=METHODS, default="all")
 
     p_table = sub.add_parser("table", help="equivariant Chow polynomials")
-    common(p_table)
+    common(p_table, formats=("json", "csv", "latex"))  # only tables have a LaTeX writer
     p_table.add_argument("--basis", choices=("schur", "p"), default="schur")
     p_table.set_defaults(func=cmd_table)
 

@@ -35,7 +35,7 @@ class GradedSeries:
     @classmethod
     def split(cls, s: SymSeries, n_min: int = 2) -> "GradedSeries":
         """Slice a series into its homogeneous degree components from n_min up."""
-        comps = {n: s.homogeneous_part(n) for n in s.degrees() if n >= n_min}
+        comps = {n: part for n, part in s.by_degree().items() if n >= n_min}
         return cls(s.n_max, comps)
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":

@@ -10,9 +10,10 @@ the equation linearizes to
 
     (t - 1) B_n = (t - 1) M_n + sum_{k=2}^{n-1} [B_k o G]_n,    G = h_1 + (t-1) M,
 
-and exact division by (t - 1) must leave no remainder: a nonzero remainder
-anywhere signals corrupted input, so the division doubles as error
-detection.
+and exact division by (t - 1) must leave no remainder.  At t = 1 the inner
+series G is h_1, so the division is exact for every input series; a nonzero
+remainder signals a fault in the plethysm or the solver itself, and the
+division doubles as error detection for them.
 
 Alongside the solver this module carries every independent numerical route
 to the rank polynomials H_n^num: the Stirling-number recursion, the partial
@@ -27,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .characters import schur_expand
 from .combinat import (
@@ -50,18 +51,29 @@ def growth_series(M: GradedSeries) -> SymSeries:
 
 
 def _divexact_tminus1(s: SymSeries) -> SymSeries:
-    """Divide every p-monomial's t-polynomial by (t - 1); remainder must vanish."""
-    by_parts: dict[Partition, dict[int, Fraction]] = {}
+    """Divide every p-monomial's t-polynomial by (t - 1); remainder must vanish.
+
+    Synthetic division on integer numerators over the common denominator of
+    s: the quotient's coefficient of t^(k-1) is the sum of the coefficients
+    of t^k and above, and the sum of all coefficients is the remainder."""
+    den = lcm(*(c.denominator for c in s.terms.values()))
+    by_parts: dict[Partition, dict[int, int]] = {}
     for (parts, k), c in s.terms.items():
-        by_parts.setdefault(parts, {})[k] = c
+        by_parts.setdefault(parts, {})[k] = c.numerator * (den // c.denominator)
     acc = {}
     for parts, coeffs in by_parts.items():
-        poly = TPoly([coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1)])
-        quo = poly.divexact(T_MINUS_ONE)
-        for k, c in enumerate(quo.coeffs):
-            if c:
-                acc[(parts, k)] = c
-    return SymSeries(s.n_max, acc)
+        carry = 0
+        for k in range(max(coeffs), 0, -1):
+            carry += coeffs.get(k, 0)
+            if carry:
+                acc[(parts, k - 1)] = Fraction(carry, den)
+        remainder = carry + coeffs.get(0, 0)
+        if remainder:
+            raise ValueError(
+                f"nonzero remainder {Fraction(remainder, den)} dividing the coefficient"
+                f" of p_{parts} (degree {sum(parts)}) by (t - 1)"
+            )
+    return SymSeries._trusted(s.n_max, acc)
 
 
 def solve_B(M: GradedSeries, n_max: int | None = None) -> GradedSeries:
@@ -74,15 +86,17 @@ def solve_B(M: GradedSeries, n_max: int | None = None) -> GradedSeries:
     G = growth_series(M)
     cache = PlethysmCache(G)
     components: dict[int, SymSeries] = {}
-    composed: dict[int, SymSeries] = {}  # B_k o G, truncated at n_max
+    composed: dict[int, dict[int, SymSeries]] = {}  # B_k o G by degree, truncated at n_max
     for n in range(2, n_max + 1):
         rhs = M.component(n) * T_MINUS_ONE
         for k in range(2, n):
-            rhs = rhs + composed[k].homogeneous_part(n)
+            part = composed[k].get(n)
+            if part is not None:
+                rhs = rhs + part
         b_n = _divexact_tminus1(rhs)
         components[n] = b_n
         if n < n_max:
-            composed[n] = plethysm(b_n, G, cache)
+            composed[n] = plethysm(b_n, G, cache).by_degree()
     return GradedSeries(n_max, components)
 
 

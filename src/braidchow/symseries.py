@@ -11,12 +11,23 @@ truncated.
 The power-sum basis is the canonical internal form because both plethysm and
 the Frobenius characteristic are diagonal there; complete homogeneous and
 Schur inputs are converted on construction.
+
+Fractions live at the edges only.  ``SymSeries.terms`` always maps to
+``Fraction``, and the public constructor validates every partition and
+exponent; results computed here are built through ``SymSeries._trusted``,
+which skips that re-validation.  Inside, products and plethysms run on plain
+integers: each operand is scaled to a common denominator (products of
+series), or each term of degree d is held as an integer multiple of 1/d!
+(``PlethysmCache``), so the inner loops neither divide nor reduce, and one
+``Fraction`` is built per output term.  The integer scalings are checked
+where they are made: a psi image that would not scale to an integer raises
+``ArithmeticError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd, lcm
 
 from .partitions import Partition, check_partition, merge, partitions_of, z_lambda
 from .tpoly import TPoly
@@ -49,6 +60,16 @@ class SymSeries:
                 clean[(check_partition(parts), k)] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, n_max: int, terms: dict[Term, Fraction]) -> "SymSeries":
+        """Wrap a computed result without re-validating it: every key is a
+        partition of size <= n_max with a non-negative exponent, every value a
+        nonzero Fraction, and the dict is not shared with the caller."""
+        s = object.__new__(cls)
+        s.n_max = n_max
+        s.terms = terms
+        return s
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -76,7 +97,9 @@ class SymSeries:
             raise ValueError("n must be nonnegative")
         if n_max is None:
             n_max = n
-        return cls(n_max, {(lam, 0): Fraction(1, z_lambda(lam)) for lam in partitions_of(n)})
+        if n > n_max:
+            return cls.zero(n_max)
+        return cls._trusted(n_max, {(lam, 0): Fraction(1, z_lambda(lam)) for lam in partitions_of(n)})
 
     # -- basic structure ---------------------------------------------------
 
@@ -109,9 +132,20 @@ class SymSeries:
 
     def homogeneous_part(self, n: int) -> "SymSeries":
         """Terms of symmetric-function degree exactly n (keeps n_max)."""
-        return SymSeries(
+        return SymSeries._trusted(
             self.n_max, {tk: c for tk, c in self.terms.items() if sum(tk[0]) == n}
         )
+
+    def by_degree(self) -> dict[int, "SymSeries"]:
+        """Every homogeneous part, keyed by degree, in one pass over the terms."""
+        parts_by_deg: dict[int, dict[Term, Fraction]] = {}
+        for tk, c in self.terms.items():
+            d = sum(tk[0])
+            bucket = parts_by_deg.get(d)
+            if bucket is None:
+                bucket = parts_by_deg[d] = {}
+            bucket[tk] = c
+        return {d: SymSeries._trusted(self.n_max, ts) for d, ts in parts_by_deg.items()}
 
     def degrees(self) -> set[int]:
         return {sum(parts) for (parts, _k) in self.terms}
@@ -124,9 +158,13 @@ class SymSeries:
         return max((k for (_parts, k) in self.terms), default=-1)
 
     def truncate(self, n_max: int) -> "SymSeries":
+        if n_max < 0:
+            raise ValueError("n_max must be nonnegative")
         if n_max >= self.n_max:
-            return SymSeries(n_max, self.terms)
-        return SymSeries(n_max, {tk: c for tk, c in self.terms.items() if sum(tk[0]) <= n_max})
+            return SymSeries._trusted(n_max, dict(self.terms))
+        return SymSeries._trusted(
+            n_max, {tk: c for tk, c in self.terms.items() if sum(tk[0]) <= n_max}
+        )
 
     # -- ring operations ---------------------------------------------------
 
@@ -136,19 +174,21 @@ class SymSeries:
         if not isinstance(other, SymSeries):
             return NotImplemented
         n_max = min(self.n_max, other.n_max)
-        acc = dict(self.terms)
-        for tk, c in other.terms.items():
-            s = acc.get(tk, Fraction(0)) + c
-            if s:
-                acc[tk] = s
+        acc = self.truncate(n_max).terms
+        for tk, c in other.truncate(n_max).terms.items():
+            s = acc.get(tk)
+            if s is None:
+                acc[tk] = c
+            elif s + c:
+                acc[tk] = s + c
             else:
-                acc.pop(tk, None)
-        return SymSeries(n_max, acc)
+                del acc[tk]
+        return SymSeries._trusted(n_max, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymSeries":
-        return SymSeries(self.n_max, {tk: -c for tk, c in self.terms.items()})
+        return SymSeries._trusted(self.n_max, {tk: -c for tk, c in self.terms.items()})
 
     def __sub__(self, other) -> "SymSeries":
         return self + (-other if isinstance(other, SymSeries) else -Fraction(other))
@@ -156,15 +196,17 @@ class SymSeries:
     def __mul__(self, other) -> "SymSeries":
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
-            return SymSeries(self.n_max, {tk: c * other for tk, c in self.terms.items()})
+            if not other:
+                return SymSeries.zero(self.n_max)
+            return SymSeries._trusted(self.n_max, {tk: c * other for tk, c in self.terms.items()})
         if isinstance(other, TPoly):
             acc: dict[Term, Fraction] = {}
             for (parts, k), c in self.terms.items():
                 for i, ci in enumerate(other.coeffs):
                     if ci:
                         key = (parts, k + i)
-                        acc[key] = acc.get(key, Fraction(0)) + c * ci
-            return SymSeries(self.n_max, acc)
+                        acc[key] = acc.get(key, 0) + c * ci
+            return SymSeries._trusted(self.n_max, {tk: c for tk, c in acc.items() if c})
         if not isinstance(other, SymSeries):
             return NotImplemented
         return _mul_series(self, other)
@@ -190,29 +232,35 @@ class SymSeries:
         return f"SymSeries(n_max={self.n_max}, {' + '.join(bits)})"
 
 
+def _scaled_numerators(s: SymSeries, n_max: int):
+    """(D, by_deg): D is the lcm of s's denominators and by_deg maps each
+    degree <= n_max to its terms as (partition, t-exponent, coefficient * D)."""
+    den = lcm(*(c.denominator for c in s.terms.values()))
+    by_deg: dict[int, list[tuple[Partition, int, int]]] = {}
+    for (parts, k), c in s.terms.items():
+        d = sum(parts)
+        if d <= n_max:
+            by_deg.setdefault(d, []).append((parts, k, c.numerator * (den // c.denominator)))
+    return den, by_deg
+
+
 def _mul_series(a: SymSeries, b: SymSeries) -> SymSeries:
     n_max = min(a.n_max, b.n_max)
-    # bucket by degree so pairs beyond the truncation are never formed
-    def buckets(s: SymSeries):
-        by_deg: dict[int, list[tuple[Partition, int, Fraction]]] = {}
-        for (parts, k), c in s.terms.items():
-            d = sum(parts)
-            if d <= n_max:
-                by_deg.setdefault(d, []).append((parts, k, c))
-        return by_deg
-
-    ba, bb = buckets(a), buckets(b)
-    acc: dict[Term, Fraction] = {}
+    # integer numerators over each factor's common denominator, bucketed by
+    # degree so pairs beyond the truncation are never formed
+    den_a, ba = _scaled_numerators(a, n_max)
+    den_b, bb = _scaled_numerators(b, n_max)
+    acc: dict[Term, int] = {}
     for da, items_a in ba.items():
         for db, items_b in bb.items():
             if da + db > n_max:
                 continue
-            for pa, ka, ca in items_a:
-                for pb, kb, cb in items_b:
+            for pa, ka, na in items_a:
+                for pb, kb, nb in items_b:
                     key = (merge(pa, pb), ka + kb)
-                    v = acc.get(key)
-                    acc[key] = ca * cb if v is None else v + ca * cb
-    return SymSeries(n_max, acc)
+                    acc[key] = acc.get(key, 0) + na * nb
+    den = den_a * den_b
+    return SymSeries._trusted(n_max, {tk: Fraction(v, den) for tk, v in acc.items() if v})
 
 
 # -- degree-scaling and plethysm ------------------------------------------
@@ -224,13 +272,45 @@ def psi(k: int, f: SymSeries) -> SymSeries:
         raise ValueError("psi index must be positive")
     if k == 1:
         return f
-    acc: dict[Term, Fraction] = {}
-    for (parts, e), c in f.terms.items():
-        if k * sum(parts) > f.n_max:
-            continue
-        key = (tuple(k * p for p in parts), k * e)
-        acc[key] = acc.get(key, Fraction(0)) + c
-    return SymSeries(f.n_max, acc)
+    # (parts, e) -> (k*parts, k*e) is injective, so no two terms collide
+    return SymSeries._trusted(
+        f.n_max,
+        {
+            (tuple(k * p for p in parts), k * e): c
+            for (parts, e), c in f.terms.items()
+            if k * sum(parts) <= f.n_max
+        },
+    )
+
+
+# An integer table: degree -> partition -> t-exponent -> integer numerator.
+IntTable = dict[int, dict[Partition, dict[int, int]]]
+
+
+def _int_product(a: IntTable, b: IntTable, n_max: int) -> IntTable:
+    """Product of two tables held at scale d!: a degree-da piece times a
+    degree-db piece picks up C(da + db, da), and nothing is divided.  Entries
+    that cancel to 0 stay in the table; plethysm drops them."""
+    acc: IntTable = {}
+    for da, by_pa in a.items():
+        for db, by_pb in b.items():
+            d = da + db
+            if d > n_max:
+                continue
+            binom = comb(d, da)
+            acc_d = acc.setdefault(d, {})
+            for pa, ta in by_pa.items():
+                for pb, tb in by_pb.items():
+                    q = merge(pa, pb)
+                    out = acc_d.get(q)
+                    if out is None:
+                        out = acc_d[q] = {}
+                    for ka, na in ta.items():
+                        nab = na * binom
+                        for kb, nb in tb.items():
+                            k = ka + kb
+                            out[k] = out.get(k, 0) + nab * nb
+    return acc
 
 
 class PlethysmCache:
@@ -238,49 +318,93 @@ class PlethysmCache:
 
     All plethysms against one fixed inner series g share the expensive
     pieces: the products prod_i psi(lambda_i, g) depend only on g and the
-    partition, not on the outer series.
+    partition, not on the outer series.  They are held as integers: a term
+    c * t^k * p_q of degree d in a product of l psi factors is stored as
+    N = c * L^l * d!, where ``scale`` L is the least positive integer making
+    c * L * |mu|! integral for every term c * t^k * p_mu of g.  L = 1 for every
+    series with z_mu-type denominators, which divide |mu|!, as for every
+    inner series the solver builds; psi_j maps degree |mu| to j*|mu|, and |mu|!
+    divides (j*|mu|)!, so the same L serves every psi image.
     """
 
     def __init__(self, g: SymSeries):
         if g.coefficient((), 0) != 0:
             raise ValueError("inner series of a plethysm must have no constant term")
         self.g = g
-        self._psi: dict[int, SymSeries] = {}
-        self._prod: dict[Partition, SymSeries] = {(): SymSeries.one(g.n_max)}
+        self.scale = 1
+        for (parts, _k), c in g.terms.items():
+            den = c.denominator
+            self.scale = lcm(self.scale, den // gcd(den, factorial(sum(parts))))
+        self._psi: dict[int, IntTable] = {}
+        self._prod: dict[Partition, IntTable] = {(): {0: {(): {0: 1}}}}
 
-    def psi_of(self, k: int) -> SymSeries:
-        s = self._psi.get(k)
-        if s is None:
-            s = self._psi[k] = psi(k, self.g)
-        return s
+    def psi_table(self, k: int) -> IntTable:
+        """psi(k, g) at scale L * d!, truncated at g.n_max."""
+        table = self._psi.get(k)
+        if table is None:
+            table = self._psi[k] = {}
+            for (q, e), c in psi(k, self.g).terms.items():
+                d = sum(q)
+                n, rem = divmod(c.numerator * self.scale * factorial(d), c.denominator)
+                if rem:
+                    raise ArithmeticError(
+                        f"term {c} t^{e} p_{q} of psi_{k} of the inner series does not"
+                        f" scale to an integer: times {self.scale} * {d}!"
+                    )
+                table.setdefault(d, {}).setdefault(q, {})[e] = n
+        return table
 
-    def product(self, parts: Partition) -> SymSeries:
-        s = self._prod.get(parts)
-        if s is None:
-            s = self._prod[parts] = self.product(parts[1:]) * self.psi_of(parts[0])
-        return s
+    def product(self, parts: Partition) -> IntTable:
+        """prod_i psi(parts_i, g) at scale L^len(parts) * d!, truncated at g.n_max."""
+        table = self._prod.get(parts)
+        if table is None:
+            table = self._prod[parts] = _int_product(
+                self.product(parts[1:]), self.psi_table(parts[0]), self.g.n_max
+            )
+        return table
 
 
 def plethysm(f: SymSeries, g: SymSeries, cache: PlethysmCache | None = None) -> SymSeries:
     """Plethysm f o g: substitute p_k -> psi(k, g); t-powers of f are scalars.
 
     g must have no constant term.  The result is truncated at
-    min(f.n_max, g.n_max).
+    min(f.n_max, g.n_max).  f's coefficients are brought to one denominator F,
+    the sums run over integers, and each output term of degree d is one
+    Fraction over F * L^l * d!, l the longest partition of f.
     """
     if cache is None or cache.g is not g:
         cache = PlethysmCache(g)
     n_max = min(f.n_max, g.n_max)
-    acc: dict[Term, Fraction] = {}
+    rows: dict[Partition, dict[int, Fraction]] = {}
     for (parts, e), c in f.terms.items():
-        if sum(parts) > n_max:
-            continue
-        for (q_parts, k), d in cache.product(parts).terms.items():
-            if sum(q_parts) > n_max:
+        if sum(parts) <= n_max:
+            rows.setdefault(parts, {})[e] = c
+    den_f = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    longest = max(map(len, rows), default=0)
+    acc: IntTable = {}
+    for parts, row in rows.items():
+        lift = cache.scale ** (longest - len(parts))
+        weights = [(e, c.numerator * (den_f // c.denominator) * lift) for e, c in row.items()]
+        for d, by_q in cache.product(parts).items():
+            if d > n_max:
                 continue
-            key = (q_parts, k + e)
-            v = acc.get(key)
-            acc[key] = c * d if v is None else v + c * d
-    return SymSeries(n_max, acc)
+            acc_d = acc.setdefault(d, {})
+            for q, tq in by_q.items():
+                out = acc_d.get(q)
+                if out is None:
+                    out = acc_d[q] = {}
+                for k, n in tq.items():
+                    for e, w in weights:
+                        ke = k + e
+                        out[ke] = out.get(ke, 0) + w * n
+    terms: dict[Term, Fraction] = {}
+    for d, by_q in acc.items():
+        den = den_f * cache.scale**longest * factorial(d)
+        for q, tq in by_q.items():
+            for k, v in tq.items():
+                if v:
+                    terms[(q, k)] = Fraction(v, den)
+    return SymSeries._trusted(n_max, terms)
 
 
 # -- Frobenius characteristic and the rank specialization ------------------
@@ -303,7 +427,7 @@ def frobenius_from_character(n: int, char: dict[Partition, TPoly | int | Fractio
         for k, c in enumerate(val.coeffs):
             if c:
                 acc[(lam, k)] = c / z
-    return SymSeries(n, acc)
+    return SymSeries._trusted(n, acc)
 
 
 def rk(f: SymSeries) -> dict[int, TPoly]:

@@ -1,7 +1,9 @@
 from fractions import Fraction
 from math import factorial
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from braidchow.characters import (
     character_table,
@@ -13,6 +15,8 @@ from braidchow.characters import (
 from braidchow.partitions import partitions_of, z_lambda
 from braidchow.symseries import SymSeries
 from braidchow.tpoly import TPoly
+
+from .strategies import fractions
 
 
 def hook_length_dimension(lam):
@@ -132,3 +136,29 @@ def test_expand_then_combine_is_identity(n):
     assert schur_combination(table, n) == f
     for lam, poly in table.items():
         assert sum(lam) == n and poly
+
+
+def homogeneous_series(max_n=7):
+    """Random homogeneous series with coefficients over small denominators."""
+    def of_degree(n):
+        keys = st.tuples(st.sampled_from(partitions_of(n)), st.integers(min_value=0, max_value=3))
+        return st.dictionaries(keys, fractions(max_num=9, max_den=12), max_size=10).map(
+            lambda terms: (n, SymSeries(n, terms))
+        )
+
+    return st.integers(min_value=1, max_value=max_n).flatmap(of_degree)
+
+
+@given(homogeneous_series())
+def test_schur_expand_matches_a_naive_fraction_dot_product(case):
+    n, f = case
+    table = character_table(n)
+    expected = {}
+    for lam in partitions_of(n):
+        coeffs = [
+            sum((f.coefficient(mu, k) * table.chi(lam, mu) for mu in partitions_of(n)), Fraction(0))
+            for k in range(f.t_degree() + 1)
+        ]
+        if any(coeffs):
+            expected[lam] = TPoly(coeffs)
+    assert schur_expand(f, n) == expected

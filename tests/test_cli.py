@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -214,6 +215,17 @@ def test_numeric_usage_errors():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["numeric", "m-series"])
+def test_latex_is_offered_only_for_tables(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--max-n", "4", "--format", "latex"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: braidchow {command}")
+    assert "invalid choice: 'latex'" in captured.err
+
+
 # -- m-series command ------------------------------------------------------------------
 
 
@@ -333,3 +345,29 @@ def test_verify_runs_each_check_at_its_pinned_bounds(monkeypatch, column, max_n)
     monkeypatch.setattr(checks, "CHECKS", recorders)
     checks.run_all(max_n, report=lambda line: None)
     assert seen == {name: bounds[column] for name, bounds in PINNED_VERIFY_BOUNDS.items()}
+
+
+# -- byte identity ------------------------------------------------------------------------
+
+# sha256 of stdout, taken when every series operation still ran on Fractions
+# throughout; the reference table stops at n = 6, so these pin every
+# coefficient of the larger tables and of the input series, and their order.
+PINNED_STDOUT_SHA256 = {
+    "table --max-n 10": "339068fdb04e2bd86b752472e5e0ae05af374981f19e0c4255304aa75909007a",
+    "table --max-n 10 --format csv":
+        "24a18f72a7ae9132a8745045efdc9a115f3a75aa1992cc92e5f4c716a97e6e42",
+    "table --max-n 10 --format latex":
+        "5845076abe764296db81501a3306d434455885f88bed37cab26dc734614addf2",
+    "table --max-n 10 --basis p":
+        "17f3d9e8e4fdd3dac56a9de60fb5dc37927b77dd1512d14c738e06b264c7620d",
+    "table --max-n 10 --basis p --format csv":
+        "c853768a191e683c2b8232e24043df9e51cc59f1cc24b66ce65a2862b25d72b9",
+    "m-series --max-n 8": "5b7eb2932bed21183b7ab675a894f3df7bfdb0de6e932cac22991937a7ae3e00",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT_SHA256))
+def test_stdout_matches_pinned_digest(capsys, command):
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -135,6 +136,28 @@ def test_any_component_perturbation_detected(B8, M8, n):
 def test_solve_rejects_short_input(M8):
     with pytest.raises(ValueError):
         solve_B(M8, 9)
+
+
+def test_solve_on_a_corrupted_kernel_raises_on_the_tminus1_division(monkeypatch):
+    """Every input series gives an exact division; a wrong plethysm does not.
+    Here the integer psi image of G gains 1/2 p_2 at t = 1, which the
+    degree-3 division by (t - 1) must reject."""
+
+    class CorruptedCache(PlethysmCache):
+        def __init__(self, g):
+            super().__init__(g)
+            self.psi_table(1)[2][(2,)][0] += 1
+
+    monkeypatch.setattr(solver, "PlethysmCache", CorruptedCache)
+    with pytest.raises(ValueError, match=r"nonzero remainder .* p_\(2, 1\) \(degree 3\)"):
+        solve_B(m_series(5))
+
+
+def test_tminus1_division_is_exact_or_loud():
+    f = SymSeries.h(3, 4) + SymSeries(4, {((2, 1), 2): Fraction(5, 3), ((4,), 0): Fraction(1, 7)})
+    assert solver._divexact_tminus1(f * T_MINUS_ONE) == f
+    with pytest.raises(ValueError, match="nonzero remainder 1/7"):
+        solver._divexact_tminus1(f * T_MINUS_ONE + SymSeries(4, {((4,), 1): Fraction(1, 7)}))
 
 
 # -- the level filtration ---------------------------------------------------------

@@ -17,7 +17,7 @@ from braidchow.symseries import (
 )
 from braidchow.tpoly import TPoly
 
-from .strategies import inner_series, series
+from .strategies import inner_series, partitions, series
 
 
 def P(parts, n_max=None, t=0):
@@ -222,6 +222,80 @@ def test_plethysm_associativity(f, g, h):
     assert plethysm(plethysm(f, g), h) == plethysm(f, plethysm(g, h))
 
 
+def reference_plethysm(f, g):
+    """f o g monomial by monomial over Fractions: each t^e p_lambda of f
+    becomes t^e prod_i psi(lambda_i, g), with psi applied to g's terms."""
+    n_max = min(f.n_max, g.n_max)
+    out = {}
+    for (lam, e), c in f.terms.items():
+        prod = {((), e): c}
+        for part in lam:
+            nxt = {}
+            for (pa, ka), ca in prod.items():
+                for (pb, kb), cb in g.terms.items():
+                    q = tuple(sorted(pa + tuple(part * p for p in pb), reverse=True))
+                    if sum(q) <= n_max:  # degrees never fall, so truncating early is safe
+                        key = (q, ka + part * kb)
+                        nxt[key] = nxt.get(key, Fraction(0)) + ca * cb
+            prod = nxt
+        for key, v in prod.items():
+            out[key] = out.get(key, Fraction(0)) + v
+    return {key: v for key, v in out.items() if v}
+
+
+def odd_inner_series(n_max=6):
+    """Inner series whose denominators need not divide the factorial of
+    their degree (1/7 p_1, 1/11 p_2 t, ...), plus pure-t terms of degree 0."""
+    coeff = st.builds(
+        Fraction,
+        st.integers(min_value=-5, max_value=5).filter(bool),
+        st.integers(min_value=1, max_value=12),
+    )
+    keys = st.tuples(
+        st.one_of(partitions(3), st.just(())), st.integers(min_value=0, max_value=2)
+    ).filter(lambda key: key != ((), 0))
+    return st.dictionaries(keys, coeff, min_size=1, max_size=3).map(
+        lambda terms: SymSeries(n_max, terms)
+    )
+
+
+@pytest.mark.parametrize(
+    "g, scale",
+    [
+        (SymSeries(6, {((1,), 0): Fraction(1, 7)}), 7),
+        (SymSeries(6, {((1,), 1): Fraction(1, 4)}), 4),
+        (SymSeries(6, {((2,), 0): Fraction(1, 4)}), 2),
+        (SymSeries(6, {((1,), 0): Fraction(1, 7), ((1,), 1): Fraction(1, 4)}), 28),
+        (SymSeries.h(3, 6), 1),
+    ],
+    ids=["p1/7", "t p1/4", "p2/4", "p1/7 + t p1/4", "h3"],
+)
+def test_plethysm_scale_and_reference(g, scale):
+    cache = PlethysmCache(g)
+    assert cache.scale == scale
+    f = SymSeries.h(3, 6) + P((2, 1), 6, t=1) + SymSeries(6, {((2,), 2): Fraction(-3, 5)})
+    assert plethysm(f, g, cache).terms == reference_plethysm(f, g)
+
+
+@given(series(n_max=6, max_terms=4), odd_inner_series())
+@settings(max_examples=40)
+def test_plethysm_matches_fraction_reference(f, g):
+    assert plethysm(f, g).terms == reference_plethysm(f, g)
+
+
+@given(series(n_max=6, max_terms=4), inner_series(n_max=6))
+@settings(max_examples=40)
+def test_plethysm_matches_fraction_reference_on_plain_inner_series(f, g):
+    assert plethysm(f, g).terms == reference_plethysm(f, g)
+
+
+def test_plethysm_rejects_an_inexact_psi_scaling():
+    cache = PlethysmCache(SymSeries(4, {((1,), 0): Fraction(1, 7)}))
+    cache.scale = 1  # too small for 1/7 p_1, so the scaled term is not an integer
+    with pytest.raises(ArithmeticError, match="does not scale to an integer"):
+        cache.psi_table(1)
+
+
 def test_plethysm_right_identity():
     f = SymSeries.h(4, 5) + P((2, 1), 5, t=1)
     assert plethysm(f, P((1,), 5)) == f
@@ -339,3 +413,8 @@ def test_sorted_terms_order():
     f = SymSeries(3, {((1, 1, 1), 0): 1, ((3,), 1): 1, ((3,), 0): 2, ((2, 1), 0): 1, ((), 0): 5})
     keys = [term for term, _c in f.sorted_terms()]
     assert keys == [((), 0), ((3,), 0), ((3,), 1), ((2, 1), 0), ((1, 1, 1), 0)]
+
+
+def test_by_degree_matches_homogeneous_parts():
+    f = SymSeries.h(3, 5) + P((2, 2), 5, t=1) + SymSeries.one(5)
+    assert f.by_degree() == {n: f.homogeneous_part(n) for n in f.degrees()}
