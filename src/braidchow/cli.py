@@ -35,7 +35,9 @@ from .solver import (
 
 METHODS = ("solve", "stirling", "bell", "lattice", "strata", "all")
 MAX_N = 12  # the --max-n cap
-STRATA_MAX_N = 7  # level-tree enumeration: 262,760 trees at n = 7
+# strata --n: its chain_count walks the set-partition lattice, 0.8 s at n = 7
+# and 14 s at n = 8
+STRATA_MAX_N = 7
 
 
 def _check_max_n(max_n: int, parser: argparse.ArgumentParser):
@@ -118,15 +120,13 @@ def _numeric_tables(max_n: int, method: str) -> dict[str, dict]:
         tables["bell"] = hnum_bell(max_n).hnum
     if method in ("lattice", "all"):
         tables["lattice"] = hnum_lattice(max_n).hnum
-    if method == "strata" or (method == "all" and max_n <= STRATA_MAX_N):
+    if method in ("strata", "all"):
         tables["strata"] = {n: epoly_Bn(n) for n in range(2, max_n + 1)}
     return tables
 
 
 def cmd_numeric(args: argparse.Namespace, parser) -> int:
     _check_max_n(args.max_n, parser)
-    if args.method == "strata" and args.max_n > STRATA_MAX_N:
-        parser.error(f"strata enumeration is capped at n = {STRATA_MAX_N}")
     _check_output(args.output)
     tables = _numeric_tables(args.max_n, args.method)
     chi = euler_chars(args.max_n)

@@ -5,14 +5,19 @@ marking 0) with a level for every vertex: levels are onto {0, ..., k}, they
 strictly increase away from the root, and every vertex v satisfies the
 stability bound val(v) + #markings(v) >= 3.
 
-Enumeration inverts pruning.  Pruning deletes all vertices of the top level
-and turns each into a marking on its parent; conversely a tree with one more
-level arises from a tree on a smaller marking set by blowing up chosen
-markings into new top-level vertices carrying blocks of at least two labels.
-Every isomorphism class is produced exactly once because fully-labeled
-stable trees are rigid.  The census cross-check counts chains in the proper
-part of the set-partition lattice, a separate computation with no trees in
-it.
+Pruning deletes all vertices of the top level and turns each into a marking
+on its parent.  It is a bijection: a tree with one more level is a tree on a
+smaller marking set together with a choice of markings to blow up into new
+top-level vertices carrying blocks of at least two labels.  Every isomorphism
+class arises exactly once because fully-labeled stable trees are rigid.
+
+The stratum-sum oracle needs from each tree only its number of levels, its
+vertex degrees and its excess, so it counts trees through that bijection
+(``_tree_tally``) without building any.  ``enumerate_level_trees`` walks the
+same bijection over labels and builds every tree; it is kept as the reference
+for the count and for the pruning round-trip.  The census cross-check counts
+chains in the proper part of the set-partition lattice, a separate
+computation with no trees in it.
 
 Each tree contributes a product over levels to the point count of the whole
 space: a vertex of degree m contributes the open-stratum count
@@ -27,8 +32,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb, factorial, prod
 
 from .combinat import set_partitions
+from .partitions import partitions_of
 from .tpoly import TPoly
 
 # A vertex is (level, markings, children); markings is a sorted tuple of
@@ -260,15 +267,32 @@ def stratum_epoly(tree: LevelTree) -> TPoly:
 
 @lru_cache(maxsize=None)
 def _tree_tally(n: int) -> tuple[tuple[tuple[int, tuple[int, ...], int], int], ...]:
-    """One pass over every level tree on {0, ..., n}, tallied as
-    (number of levels, sorted vertex degrees, excess) -> number of trees,
-    where excess = sum over levels of (vertices - 1).  Only this small tally
-    is cached, never the trees, so memory stays that of the streaming walk."""
-    tally: Counter = Counter()
-    for tree in enumerate_level_trees(n):
-        sizes = tree.level_sizes()
-        excess = sum(size - 1 for size in sizes.values())
-        tally[(len(sizes), tuple(sorted(tree.degrees())), excess)] += 1
+    """Every level tree on {0, ..., n}, tallied as (number of levels, sorted
+    vertex degrees, excess) -> number of trees, where excess = sum over
+    levels of (vertices - 1).
+
+    Counted through the pruning bijection, with no tree built: besides the
+    single-level tree, every tree sheds s markings into top-level blocks of
+    shape beta (parts >= 2, b = len(beta)) over a tree on n - s + b markings.
+    There are C(n, s) choices of the shed markings and
+    s! / (prod beta_i! * prod m_j!) set partitions of them of shape beta, m_j
+    the multiplicities of the parts.  A stand-in marking that becomes an edge
+    leaves its parent's degree unchanged, and each new top vertex has degree
+    beta_i + 1.  ``enumerate_level_trees`` walks the same recursion over
+    labels and is the reference for this count."""
+    if n < 2:
+        return ()
+    tally: Counter = Counter({(1, (n + 1,), 0): 1})
+    for shed in range(2, n + 1):
+        for beta in partitions_of(shed):
+            if beta[-1] < 2:
+                continue
+            symmetry = prod(map(factorial, beta)) * prod(map(factorial, Counter(beta).values()))
+            ways = comb(n, shed) * factorial(shed) // symmetry
+            tops = tuple(part + 1 for part in beta)
+            for (levels, degs, excess), count in _tree_tally(n - shed + len(beta)):
+                key = (levels + 1, tuple(sorted(degs + tops)), excess + len(beta) - 1)
+                tally[key] += count * ways
     return tuple(tally.items())
 
 

@@ -213,10 +213,6 @@ class SymSeries:
 
     __rmul__ = __mul__
 
-    def t_shift(self, k: int) -> "SymSeries":
-        """Multiply by t^k."""
-        return SymSeries(self.n_max, {(parts, e + k): c for (parts, e), c in self.terms.items()})
-
     # -- presentation ------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Term, Fraction]]:

@@ -68,7 +68,7 @@ def test_criterion_2_functional_equation(capsys):
 def test_criterion_3_four_route_agreement(capsys):
     with capsys.disabled(), _Report(3, "route agreement: solver/stirling/bell/lattice + strata"):
         run_check("numeric route agreement", 10, 10)
-        run_check("strata oracle", 7)
+        run_check("strata oracle", 12)
         assert epoly_Bn(4) == TPoly((1, 8, 1))
         assert epoly_Bn(5) == TPoly((1, 41, 41, 1))
 

@@ -16,7 +16,7 @@ from braidchow.serialize import (
     series_to_obj,
 )
 from braidchow.solver import solve_B
-from braidchow.symseries import SymSeries
+from braidchow.symseries import PlethysmCache, SymSeries
 from braidchow.tpoly import TPoly
 
 
@@ -189,6 +189,15 @@ def test_numeric_strata_only(capsys):
     assert rows[6]["hnum"] == ["1", "187", "732", "187", "1"]
 
 
+def test_numeric_strata_reaches_the_degree_cap(capsys):
+    code, strata = run_cli(capsys, "numeric", "--max-n", "12", "--method", "strata")
+    assert code == 0
+    code, stirling = run_cli(capsys, "numeric", "--max-n", "12", "--method", "stirling")
+    assert code == 0
+    stirling_rows = [row for row in json.loads(stirling)["rows"] if row["n"] >= 2]
+    assert json.loads(strata)["rows"] == stirling_rows
+
+
 def test_numeric_stirling_deep(capsys):
     code, out = run_cli(capsys, "numeric", "--max-n", "12", "--method", "stirling")
     assert code == 0
@@ -211,7 +220,7 @@ def test_numeric_usage_errors():
         cli.main(["numeric", "--max-n", "13"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        cli.main(["numeric", "--max-n", "8", "--method", "strata"])
+        cli.main(["numeric", "--max-n", "13", "--method", "strata"])
     assert exc.value.code == 2
 
 
@@ -311,6 +320,28 @@ def test_verify_catches_a_faulty_solver(capsys, monkeypatch):
     }
 
 
+def test_verify_reports_a_kernel_error_and_runs_on(capsys, monkeypatch):
+    class CorruptedCache(PlethysmCache):
+        def __init__(self, g):
+            super().__init__(g)
+            self.psi_table(1)[2][(2,)][0] += 1
+
+    monkeypatch.setattr(solver, "PlethysmCache", CorruptedCache)
+    solver.solved_series.cache_clear()
+    try:
+        code, out = run_cli(capsys, "verify", "--max-n", "5")
+    finally:
+        solver.solved_series.cache_clear()
+    assert code == 1
+    assert "Traceback" not in out + capsys.readouterr().err
+    lines = out.splitlines()
+    assert "FAIL functional equation: ValueError: nonzero remainder 1/2 dividing the " \
+        "coefficient of p_(2, 1) (degree 3) by (t - 1)" in lines
+    for name in ("level tree census", "strata oracle", "pruning round-trip"):
+        assert f"  ok {name}" in lines
+    assert len(lines) == len(checks.CHECKS) + 1
+
+
 # The bounds each check runs at under verify --max-n 2, 8 and 12.  A change
 # here lowers or raises what verify proves; it must be deliberate.
 PINNED_VERIFY_BOUNDS = {
@@ -329,7 +360,7 @@ PINNED_VERIFY_BOUNDS = {
     "structural properties": [(2, 2), (8, 8), (12, 8)],
     "level filtration": [(2,), (8,), (12,)],
     "level tree census": [(2,), (6,), (6,)],
-    "strata oracle": [(2,), (6,), (6,)],
+    "strata oracle": [(2,), (8,), (12,)],
     "pruning round-trip": [(2,), (5,), (5,)],
     "serialization round-trip": [(2,), (6,), (6,)],
 }

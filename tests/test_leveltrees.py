@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from braidchow import leveltrees
@@ -62,6 +64,7 @@ def test_all_markings_present():
 
 
 def test_census_and_epoly_share_one_enumeration(monkeypatch):
+    """Both read the one counted tally; neither walks the labelled trees."""
     calls = []
     original = leveltrees.enumerate_level_trees
 
@@ -76,9 +79,27 @@ def test_census_and_epoly_share_one_enumeration(monkeypatch):
         poly = epoly_Bn(5)
     finally:
         leveltrees._tree_tally.cache_clear()
-    assert calls == [5]
+    assert calls == []
     assert census == {1: 1, 2: 50, 3: 205, 4: 180}
     assert poly == TPoly((1, 41, 41, 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_counted_tally_equals_the_walked_one(n):
+    walked = Counter()
+    for t in enumerate_level_trees(n):
+        sizes = t.level_sizes()
+        excess = sum(size - 1 for size in sizes.values())
+        walked[(len(sizes), tuple(sorted(t.degrees())), excess)] += 1
+    assert dict(leveltrees._tree_tally(n)) == walked
+
+
+def test_census_at_7_and_8():
+    # n = 8 is chain_counts_by_length(8) shifted by one level (14 s to recompute)
+    assert level_tree_census(7) == {1: 1, 2: 875, 3: 16674, 4: 74165, 5: 114345, 6: 56700}
+    assert level_tree_census(8) == {
+        1: 1, 2: 4138, 3: 155477, 4: 1208830, 5: 3394790, 6: 3919860, 7: 1587600
+    }
 
 
 def test_census_result_is_not_shared():
