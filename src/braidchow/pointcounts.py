@@ -9,6 +9,11 @@ in the necklace numbers.  Quotienting by the affine group, whose order is
 q(q - 1), and assembling the counts with weights 1/z_lambda yields the
 graded character of the moduli of distinct points on the projective line
 with one point pinned; purity lets q double as the grading variable t.
+
+The counts are built on integers: d * necklace(d) is an integer polynomial,
+so each twisted count is a product of integer lists, and its division by
+q(q - 1) is a shift and a synthetic division, checked to leave no
+remainder.  One Fraction c / z_lambda is made per term of the series.
 """
 
 from __future__ import annotations
@@ -19,11 +24,9 @@ from math import factorial
 
 from .combinat import omega_shifted
 from .graded import GradedSeries
-from .partitions import Partition, multiplicities, partitions_of
-from .symseries import SymSeries, frobenius_from_character
+from .partitions import Partition, multiplicities, partitions_of, z_lambda
+from .symseries import SymSeries
 from .tpoly import TPoly, T_MINUS_ONE
-
-_Q_QMINUS1 = TPoly((0, -1, 1))  # q(q - 1)
 
 
 def _mobius(n: int) -> int:
@@ -42,19 +45,43 @@ def _mobius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _d_necklace(d: int) -> tuple[int, ...]:
+    """d * necklace(d) = sum_{e|d} mu(e) q^{d/e} as integer coefficients,
+    lowest degree first; the constant term is 0."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    coeffs = [0] * (d + 1)
+    for e in range(1, d + 1):
+        if d % e == 0:
+            coeffs[d // e] += _mobius(e)
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
 def necklace(d: int) -> TPoly:
     """Number of degree-d closed points of the affine line: (1/d) sum_{e|d} mu(e) q^{d/e}.
 
     The coefficients are rational (e.g. (q^2 - q)/2 at d = 2); only the
     values at prime powers are integers.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
-    coeffs = [Fraction(0)] * (d + 1)
-    for e in range(1, d + 1):
-        if d % e == 0:
-            coeffs[d // e] += Fraction(_mobius(e), d)
-    return TPoly(coeffs)
+    return TPoly(Fraction(c, d) for c in _d_necklace(d))
+
+
+def _twisted_coeffs(lam: Partition) -> list[int]:
+    """Integer coefficients, lowest degree first, of the twisted count of lam:
+    the product over part sizes d and i < m_d of d*necklace(d) - d*i."""
+    poly = [1]
+    for d, m in multiplicities(lam).items():
+        factor = list(_d_necklace(d))
+        for i in range(m):
+            factor[0] = -d * i
+            out = [0] * (len(poly) + d)
+            for j, a in enumerate(poly):
+                if a:
+                    for k, b in enumerate(factor):
+                        out[j + k] += a * b
+            poly = out
+    return poly
 
 
 def twisted_count(lam: Partition) -> TPoly:
@@ -62,16 +89,29 @@ def twisted_count(lam: Partition) -> TPoly:
     Frobenius: prod over part sizes d of d^m_d * necklace(d) falling m_d.
 
     Grouping d^m_d into the falling factorial makes every factor
-    d*necklace(d) - d*i an integer polynomial, and that integrality is
-    asserted."""
-    poly = TPoly.const(1)
-    for d, m in multiplicities(lam).items():
-        d_nd = necklace(d) * d
-        for i in range(m):
-            poly = poly * (d_nd - d * i)
-    if not poly.has_integer_coeffs():
-        raise ArithmeticError(f"twisted count of {lam} is not integral: {poly}")
-    return poly
+    d*necklace(d) - d*i an integer polynomial, so the count is a product of
+    integer lists; this is a view of the routine the input series is built
+    from."""
+    return TPoly(_twisted_coeffs(lam))
+
+
+def _affine_quotient(lam: Partition) -> list[int]:
+    """The twisted count of lam divided by q(q - 1), exactly, on integers:
+    drop the constant term, then synthetic division by (q - 1), whose
+    quotient coefficient of q^(k-1) is the sum of the coefficients of q^k
+    and above.  Raises ValueError if the division leaves a remainder."""
+    coeffs = _twisted_coeffs(lam)
+    quotient = [0] * (len(coeffs) - 2)
+    carry = 0
+    for k in range(len(coeffs) - 1, 1, -1):
+        carry += coeffs[k]
+        quotient[k - 2] = carry
+    if coeffs[0] or carry + coeffs[1]:
+        raise ValueError(
+            f"twisted count of cycle type {lam} is not divisible by q(q - 1):"
+            f" {TPoly(coeffs)}"
+        )
+    return quotient
 
 
 def m_component(n: int) -> SymSeries:
@@ -79,8 +119,13 @@ def m_component(n: int) -> SymSeries:
     twisted_count / (q(q-1)) * p_lambda / z_lambda, with q read as t."""
     if n < 2:
         raise ValueError("components start at n = 2")
-    char = {lam: twisted_count(lam).divexact(_Q_QMINUS1) for lam in partitions_of(n)}
-    return frobenius_from_character(n, char)
+    terms = {}
+    for lam in partitions_of(n):
+        z = z_lambda(lam)
+        for k, c in enumerate(_affine_quotient(lam)):
+            if c:
+                terms[(lam, k)] = Fraction(c, z)
+    return SymSeries._trusted(n, terms)
 
 
 class MSeries(GradedSeries):

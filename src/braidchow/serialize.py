@@ -8,6 +8,7 @@ so output is byte-deterministic for a fixed input.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .partitions import Partition, is_partition
@@ -30,22 +31,66 @@ def series_to_obj(n: int, s: SymSeries) -> dict:
     return {"n": n, "terms": terms}
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _exact(value, what: str) -> Fraction:
+    """An exact coefficient: an int (not a bool) or a rational string such as
+    "3" or "-1/2".  Floats, decimal strings and anything else raise ValueError
+    naming ``what``."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        num, _, den = value.partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"{what}: zero denominator")
+        return Fraction(int(num), int(den or 1))
+    raise ValueError(f"{what}: coefficient must be an int or an exact rational string")
+
+
+def _partition(value, what: str) -> Partition:
+    """A list of weakly decreasing positive ints (not bools) as a partition."""
+    if isinstance(value, list) and all(type(p) is int for p in value):
+        parts = tuple(value)
+        if is_partition(parts):
+            return parts
+    raise ValueError(f"{what}: partition must be a list of weakly decreasing positive ints")
+
+
+def _record(obj, keys: tuple[str, ...], what: str) -> tuple:
+    """The values of ``keys`` in the JSON object ``obj``; ValueError if it is
+    not a dict or lacks one of them."""
+    if not isinstance(obj, dict) or any(key not in obj for key in keys):
+        raise ValueError(f"{what}: expected an object with keys {', '.join(keys)}")
+    return tuple(obj[key] for key in keys)
+
+
+def _degree(value, what: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what}: n must be a non-negative integer")
+    return value
+
+
 def series_from_obj(obj: dict, n_max: int | None = None) -> SymSeries:
+    """Inverse of ``series_to_obj``; duplicate terms are summed.  Every
+    malformed record raises ValueError naming it."""
+    (records,) = _record(obj, ("terms",), "series record")
     if n_max is None:
-        n_max = obj["n"]
+        (n_max,) = _record(obj, ("n",), "series record")
+    n_max = _degree(n_max, "series record")
+    if not isinstance(records, list):
+        raise ValueError("series record: terms must be a list")
     terms = {}
-    for rec in obj["terms"]:
-        parts = tuple(rec["partition"])
-        if not is_partition(parts) or sum(parts) > n_max:
-            raise ValueError(
-                f"term {rec!r}: partition must be weakly decreasing positive parts"
-                f" summing to at most {n_max}"
-            )
-        t = rec["t"]
+    for rec in records:
+        what = f"term {rec!r}"
+        parts, t, coeff = _record(rec, ("partition", "t", "coeff"), what)
+        parts = _partition(parts, what)
+        if sum(parts) > n_max:
+            raise ValueError(f"{what}: partition sums past {n_max}")
         if type(t) is not int or t < 0:  # rejects bools and floats too
-            raise ValueError(f"term {rec!r}: t must be a non-negative integer")
+            raise ValueError(f"{what}: t must be a non-negative integer")
         key = (parts, t)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(rec["coeff"])
+        terms[key] = terms.get(key, Fraction(0)) + _exact(coeff, what)
     return SymSeries(n_max, terms)
 
 
@@ -54,10 +99,6 @@ def series_from_obj(obj: dict, n_max: int | None = None) -> SymSeries:
 
 def poly_strings(p: TPoly) -> list[str]:
     return [str(c) for c in p.coeffs]
-
-
-def poly_from_strings(coeffs: list[str]) -> TPoly:
-    return TPoly([Fraction(c) for c in coeffs])
 
 
 def schur_table_to_obj(n: int, table: dict[Partition, TPoly]) -> dict:
@@ -70,7 +111,26 @@ def schur_table_to_obj(n: int, table: dict[Partition, TPoly]) -> dict:
 
 
 def schur_table_from_obj(obj: dict) -> dict[Partition, TPoly]:
-    return {tuple(row["lambda"]): poly_from_strings(row["poly"]) for row in obj["rows"]}
+    """Inverse of ``schur_table_to_obj``: one row per partition of n, exact
+    coefficients; zero rows are dropped.  Every malformed record raises
+    ValueError naming it."""
+    n, rows = _record(obj, ("n", "rows"), "table record")
+    n = _degree(n, "table record")
+    if not isinstance(rows, list):
+        raise ValueError("table record: rows must be a list")
+    table = {}
+    for row in rows:
+        what = f"row {row!r}"
+        lam, coeffs = _record(row, ("lambda", "poly"), what)
+        lam = _partition(lam, what)
+        if sum(lam) != n:
+            raise ValueError(f"{what}: lambda must be a partition of {n}")
+        if lam in table:
+            raise ValueError(f"{what}: lambda appears twice")
+        if not isinstance(coeffs, list):
+            raise ValueError(f"{what}: poly must be a list of coefficients")
+        table[lam] = TPoly([_exact(c, what) for c in coeffs])
+    return {lam: poly for lam, poly in table.items() if poly}
 
 
 def numeric_to_obj(n: int, hnum: TPoly, chi: int) -> dict:

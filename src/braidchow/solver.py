@@ -13,7 +13,9 @@ the equation linearizes to
 and exact division by (t - 1) must leave no remainder.  At t = 1 the inner
 series G is h_1, so the division is exact for every input series; a nonzero
 remainder signals a fault in the plethysm or the solver itself, and the
-division doubles as error detection for them.
+division doubles as error detection for them.  The right-hand side is summed,
+and divided, as integer numerators over one common denominator per degree,
+and Fractions are made only for the returned components B_n.
 
 Alongside the solver this module carries every independent numerical route
 to the rank polynomials H_n^num: the Stirling-number recursion, the partial
@@ -41,7 +43,7 @@ from .combinat import (
 from .graded import GradedSeries
 from .partitions import Partition
 from .pointcounts import m_series
-from .symseries import PlethysmCache, SymSeries, plethysm, rk
+from .symseries import PlethysmCache, Rows, SymSeries, _fractions, _numerators, plethysm, rk
 from .tpoly import TPoly, T, T_MINUS_ONE
 
 
@@ -50,35 +52,56 @@ def growth_series(M: GradedSeries) -> SymSeries:
     return SymSeries.p(1, M.n_max) + M.total() * T_MINUS_ONE
 
 
-def _divexact_tminus1(s: SymSeries) -> SymSeries:
-    """Divide every p-monomial's t-polynomial by (t - 1); remainder must vanish.
+def _times_tminus1(rows: Rows, lift: int = 1) -> Rows:
+    """(t - 1) times integer rows, each numerator also multiplied by lift."""
+    out: Rows = {}
+    for parts, row in rows.items():
+        acc = out[parts] = {}
+        for k, c in row.items():
+            c *= lift
+            acc[k + 1] = acc.get(k + 1, 0) + c
+            acc[k] = acc.get(k, 0) - c
+    return out
 
-    Synthetic division on integer numerators over the common denominator of
-    s: the quotient's coefficient of t^(k-1) is the sum of the coefficients
-    of t^k and above, and the sum of all coefficients is the remainder."""
-    den = lcm(*(c.denominator for c in s.terms.values()))
-    by_parts: dict[Partition, dict[int, int]] = {}
-    for (parts, k), c in s.terms.items():
-        by_parts.setdefault(parts, {})[k] = c.numerator * (den // c.denominator)
-    acc = {}
-    for parts, coeffs in by_parts.items():
+
+def _rows_over_tminus1(rows: Rows, den: int) -> Rows:
+    """Divide every p-monomial's integer t-polynomial by (t - 1); the
+    remainder must vanish.  Synthetic division: the quotient's coefficient of
+    t^(k-1) is the sum of the coefficients of t^k and above, and the sum of
+    all coefficients is the remainder.  den is only for the error message."""
+    out: Rows = {}
+    for parts, coeffs in rows.items():
+        quotient = {}
         carry = 0
         for k in range(max(coeffs), 0, -1):
             carry += coeffs.get(k, 0)
             if carry:
-                acc[(parts, k - 1)] = Fraction(carry, den)
+                quotient[k - 1] = carry
         remainder = carry + coeffs.get(0, 0)
         if remainder:
             raise ValueError(
                 f"nonzero remainder {Fraction(remainder, den)} dividing the coefficient"
                 f" of p_{parts} (degree {sum(parts)}) by (t - 1)"
             )
-    return SymSeries._trusted(s.n_max, acc)
+        if quotient:
+            out[parts] = quotient
+    return out
+
+
+def _divexact_tminus1(s: SymSeries) -> SymSeries:
+    """Divide every p-monomial's t-polynomial by (t - 1); remainder must
+    vanish.  Runs on integer numerators over the common denominator of s."""
+    den, rows = _numerators(s, s.n_max)
+    return SymSeries._trusted(s.n_max, _fractions(_rows_over_tminus1(rows, den), den))
 
 
 def solve_B(M: GradedSeries, n_max: int | None = None) -> GradedSeries:
     """Solve for B degree by degree; the n = 2 component comes out equal to
-    the degree-2 input component rather than being imposed."""
+    the degree-2 input component rather than being imposed.
+
+    Each right-hand side (t - 1) M_n + sum_k [B_k o G]_n is summed as
+    integer numerators over one common denominator and divided by (t - 1)
+    there; Fractions are built only for the components B_n."""
     if n_max is None:
         n_max = M.n_max
     if n_max > M.n_max:
@@ -86,17 +109,23 @@ def solve_B(M: GradedSeries, n_max: int | None = None) -> GradedSeries:
     G = growth_series(M)
     cache = PlethysmCache(G)
     components: dict[int, SymSeries] = {}
-    composed: dict[int, dict[int, SymSeries]] = {}  # B_k o G by degree, truncated at n_max
+    composed: list[dict[int, SymSeries]] = []  # each B_k o G by degree, truncated at n_max
     for n in range(2, n_max + 1):
-        rhs = M.component(n) * T_MINUS_ONE
-        for k in range(2, n):
-            part = composed[k].get(n)
-            if part is not None:
-                rhs = rhs + part
-        b_n = _divexact_tminus1(rhs)
+        den_m, m_rows = _numerators(M.component(n), n_max)
+        # each piece is read once; popping it frees it before the next plethysm
+        pieces = [by_deg.pop(n).terms for by_deg in composed if n in by_deg]
+        den = lcm(den_m, *(c.denominator for terms in pieces for c in terms.values()))
+        rhs = _times_tminus1(m_rows, den // den_m)
+        for terms in pieces:
+            for (parts, k), c in terms.items():
+                acc = rhs.get(parts)
+                if acc is None:
+                    acc = rhs[parts] = {}
+                acc[k] = acc.get(k, 0) + c.numerator * (den // c.denominator)
+        b_n = SymSeries._trusted(n_max, _fractions(_rows_over_tminus1(rhs, den), den))
         components[n] = b_n
         if n < n_max:
-            composed[n] = plethysm(b_n, G, cache).by_degree()
+            composed.append(plethysm(b_n, G, cache).by_degree())
     return GradedSeries(n_max, components)
 
 

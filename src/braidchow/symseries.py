@@ -21,7 +21,9 @@ series), or each term of degree d is held as an integer multiple of 1/d!
 (``PlethysmCache``), so the inner loops neither divide nor reduce, and one
 ``Fraction`` is built per output term.  The integer scalings are checked
 where they are made: a psi image that would not scale to an integer raises
-``ArithmeticError``.
+``ArithmeticError``.  ``_numerators`` and ``_fractions`` convert between a
+series and integer rows over one denominator; the solver uses them to sum
+its right-hand sides on integers.
 """
 
 from __future__ import annotations
@@ -228,32 +230,47 @@ class SymSeries:
         return f"SymSeries(n_max={self.n_max}, {' + '.join(bits)})"
 
 
-def _scaled_numerators(s: SymSeries, n_max: int):
-    """(D, by_deg): D is the lcm of s's denominators and by_deg maps each
-    degree <= n_max to its terms as (partition, t-exponent, coefficient * D)."""
-    den = lcm(*(c.denominator for c in s.terms.values()))
-    by_deg: dict[int, list[tuple[Partition, int, int]]] = {}
-    for (parts, k), c in s.terms.items():
-        d = sum(parts)
-        if d <= n_max:
-            by_deg.setdefault(d, []).append((parts, k, c.numerator * (den // c.denominator)))
-    return den, by_deg
+# -- integer numerators -----------------------------------------------------
+
+# partition -> t-exponent -> integer numerator, over a denominator held apart
+Rows = dict[Partition, dict[int, int]]
+
+
+def _numerators(s: SymSeries, n_max: int) -> tuple[int, Rows]:
+    """(D, rows): the terms of s of degree <= n_max as integer numerators over
+    D, the lcm of their denominators; rows maps partition -> t-exponent -> N."""
+    rows: dict[Partition, dict[int, Fraction]] = {}
+    for (parts, e), c in s.terms.items():
+        if sum(parts) <= n_max:
+            rows.setdefault(parts, {})[e] = c
+    den = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    for row in rows.values():
+        for e, c in row.items():
+            row[e] = c.numerator * (den // c.denominator)
+    return den, rows
+
+
+def _fractions(rows: Rows, den: int) -> dict[Term, Fraction]:
+    """Terms of integer rows over the denominator den, zero entries dropped."""
+    return {(q, k): Fraction(v, den) for q, row in rows.items() for k, v in row.items() if v}
 
 
 def _mul_series(a: SymSeries, b: SymSeries) -> SymSeries:
     n_max = min(a.n_max, b.n_max)
-    # integer numerators over each factor's common denominator, bucketed by
-    # degree so pairs beyond the truncation are never formed
-    den_a, ba = _scaled_numerators(a, n_max)
-    den_b, bb = _scaled_numerators(b, n_max)
+    # integer numerators over each factor's common denominator; pairs beyond
+    # the truncation are never formed
+    den_a, rows_a = _numerators(a, n_max)
+    den_b, rows_b = _numerators(b, n_max)
     acc: dict[Term, int] = {}
-    for da, items_a in ba.items():
-        for db, items_b in bb.items():
-            if da + db > n_max:
+    for pa, ta in rows_a.items():
+        room = n_max - sum(pa)
+        for pb, tb in rows_b.items():
+            if sum(pb) > room:
                 continue
-            for pa, ka, na in items_a:
-                for pb, kb, nb in items_b:
-                    key = (merge(pa, pb), ka + kb)
+            q = merge(pa, pb)
+            for ka, na in ta.items():
+                for kb, nb in tb.items():
+                    key = (q, ka + kb)
                     acc[key] = acc.get(key, 0) + na * nb
     den = den_a * den_b
     return SymSeries._trusted(n_max, {tk: Fraction(v, den) for tk, v in acc.items() if v})
@@ -280,7 +297,7 @@ def psi(k: int, f: SymSeries) -> SymSeries:
 
 
 # An integer table: degree -> partition -> t-exponent -> integer numerator.
-IntTable = dict[int, dict[Partition, dict[int, int]]]
+IntTable = dict[int, Rows]
 
 
 def _int_product(a: IntTable, b: IntTable, n_max: int) -> IntTable:
@@ -371,16 +388,12 @@ def plethysm(f: SymSeries, g: SymSeries, cache: PlethysmCache | None = None) -> 
     if cache is None or cache.g is not g:
         cache = PlethysmCache(g)
     n_max = min(f.n_max, g.n_max)
-    rows: dict[Partition, dict[int, Fraction]] = {}
-    for (parts, e), c in f.terms.items():
-        if sum(parts) <= n_max:
-            rows.setdefault(parts, {})[e] = c
-    den_f = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    den_f, rows = _numerators(f, n_max)
     longest = max(map(len, rows), default=0)
     acc: IntTable = {}
     for parts, row in rows.items():
         lift = cache.scale ** (longest - len(parts))
-        weights = [(e, c.numerator * (den_f // c.denominator) * lift) for e, c in row.items()]
+        weights = [(e, w * lift) for e, w in row.items()]
         for d, by_q in cache.product(parts).items():
             if d > n_max:
                 continue
@@ -395,11 +408,7 @@ def plethysm(f: SymSeries, g: SymSeries, cache: PlethysmCache | None = None) -> 
                         out[ke] = out.get(ke, 0) + w * n
     terms: dict[Term, Fraction] = {}
     for d, by_q in acc.items():
-        den = den_f * cache.scale**longest * factorial(d)
-        for q, tq in by_q.items():
-            for k, v in tq.items():
-                if v:
-                    terms[(q, k)] = Fraction(v, den)
+        terms.update(_fractions(by_q, den_f * cache.scale**longest * factorial(d)))
     return SymSeries._trusted(n_max, terms)
 
 

@@ -380,9 +380,12 @@ def test_verify_runs_each_check_at_its_pinned_bounds(monkeypatch, column, max_n)
 
 # -- byte identity ------------------------------------------------------------------------
 
-# sha256 of stdout, taken when every series operation still ran on Fractions
-# throughout; the reference table stops at n = 6, so these pin every
-# coefficient of the larger tables and of the input series, and their order.
+# sha256 of stdout: the --max-n 8 and 10 entries were taken when every series
+# operation still ran on Fractions throughout, the --max-n 12 ones while the
+# input series and the solver's right-hand side still did (the second equals
+# the digest the benchmark pins for table12); the reference table stops at
+# n = 6, so these pin every coefficient of the larger tables and of the input
+# series, and their order.
 PINNED_STDOUT_SHA256 = {
     "table --max-n 10": "339068fdb04e2bd86b752472e5e0ae05af374981f19e0c4255304aa75909007a",
     "table --max-n 10 --format csv":
@@ -394,6 +397,8 @@ PINNED_STDOUT_SHA256 = {
     "table --max-n 10 --basis p --format csv":
         "c853768a191e683c2b8232e24043df9e51cc59f1cc24b66ce65a2862b25d72b9",
     "m-series --max-n 8": "5b7eb2932bed21183b7ab675a894f3df7bfdb0de6e932cac22991937a7ae3e00",
+    "m-series --max-n 12": "6de34e207ee74b31c27634f366978a78613a8fae90953573da5a21c4b338ce43",
+    "table --max-n 12": "142ab3db68fae4199f7eb3085f66e89e75ed13f61df2d51b3c8c747dfc47346b",
 }
 
 

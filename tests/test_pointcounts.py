@@ -4,9 +4,10 @@ from math import factorial
 
 import pytest
 
+from braidchow import pointcounts
 from braidchow.characters import schur_expand
 from braidchow.combinat import omega_shifted
-from braidchow.partitions import partitions_of, z_lambda
+from braidchow.partitions import multiplicities, partitions_of, z_lambda
 from braidchow.pointcounts import m_component, m_series, necklace, twisted_count
 from braidchow.symseries import SymSeries, rk
 from braidchow.tpoly import T_MINUS_ONE, TPoly
@@ -185,3 +186,38 @@ def test_m_series_rejects_small_n():
         m_series(1)
     with pytest.raises(ValueError):
         m_component(1)
+
+
+# -- the integer input series ---------------------------------------------------
+
+
+def fraction_twisted_count(lam):
+    """The falling-factorial product of d * necklace(d), in TPoly/Fraction
+    arithmetic throughout."""
+    poly = TPoly.const(1)
+    for d, m in multiplicities(lam).items():
+        for i in range(m):
+            poly = poly * (necklace(d) * d - d * i)
+    return poly
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_twisted_count_matches_the_fraction_product(n):
+    for lam in partitions_of(n):
+        assert twisted_count(lam) == fraction_twisted_count(lam), lam
+
+
+@pytest.mark.parametrize("bump", [0, 1, 2], ids=["constant", "linear", "quadratic"])
+def test_m_component_rejects_a_count_not_divisible_by_q_qminus1(monkeypatch, bump):
+    original = pointcounts._twisted_coeffs
+
+    def bumped(lam):
+        coeffs = original(lam)
+        if lam == (2, 1, 1):
+            coeffs[bump] += 1
+        return coeffs
+
+    monkeypatch.setattr(pointcounts, "_twisted_coeffs", bumped)
+    assert m_component(3)  # other degrees are untouched
+    with pytest.raises(ValueError, match=r"cycle type \(2, 1, 1\) is not divisible by q\(q - 1\)"):
+        m_component(4)

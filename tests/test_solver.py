@@ -115,6 +115,18 @@ def test_functional_equation_minimal_truncation():
     assert B.component(2) == SymSeries.h(2, 2)
 
 
+def test_solve_any_input_series():
+    """Not only the point counts: an input whose denominators differ from
+    those of the composed pieces is solved too, and B_2 equals M_2."""
+    M = GradedSeries(
+        6,
+        {n: SymSeries(6, {((n,), 0): 1, ((1,) * n, 1): Fraction(1, 3)}) for n in range(2, 7)},
+    )
+    B = solve_B(M)
+    assert verify_functional_equation(B, M)
+    assert B.component(2) == M.component(2)
+
+
 def test_perturbation_breaks_equation(B8, M8):
     cache = PlethysmCache(growth_series(M8))
     s4t = schur_series((4,), 8) * TPoly((0, 1))
