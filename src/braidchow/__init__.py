@@ -16,7 +16,6 @@ from .graded import GradedSeries
 from .partitions import Partition, partitions_of, z_lambda
 from .pointcounts import MSeries, m_component, m_series, necklace, twisted_count
 from .solver import (
-    NumericTable,
     equivariant_table,
     euler_chars,
     hnum_bell,
@@ -34,7 +33,6 @@ from .tpoly import TPoly
 __all__ = [
     "GradedSeries",
     "MSeries",
-    "NumericTable",
     "Partition",
     "PlethysmCache",
     "SymSeries",

@@ -35,9 +35,9 @@ from .solver import (
 
 METHODS = ("solve", "stirling", "bell", "lattice", "strata", "all")
 MAX_N = 12  # the --max-n cap
-# strata --n: its chain_count walks the set-partition lattice, 0.8 s at n = 7
-# and 14 s at n = 8
-STRATA_MAX_N = 7
+# strata --n: its chain_count walks the set-partition lattice; strata --n 8
+# takes about 0.5 s, and n = 9 would take about 4 s
+STRATA_MAX_N = 8
 
 
 def _check_max_n(max_n: int, parser: argparse.ArgumentParser):
@@ -113,13 +113,13 @@ def cmd_table(args: argparse.Namespace, parser) -> int:
 def _numeric_tables(max_n: int, method: str) -> dict[str, dict]:
     tables = {}
     if method in ("solve", "all"):
-        tables["solve"] = hnum_from_solver(solve_B(m_series(max_n))).hnum
+        tables["solve"] = hnum_from_solver(solve_B(m_series(max_n)))
     if method in ("stirling", "all"):
-        tables["stirling"] = hnum_stirling(max_n).hnum
+        tables["stirling"] = hnum_stirling(max_n)
     if method in ("bell", "all"):
-        tables["bell"] = hnum_bell(max_n).hnum
+        tables["bell"] = hnum_bell(max_n)
     if method in ("lattice", "all"):
-        tables["lattice"] = hnum_lattice(max_n).hnum
+        tables["lattice"] = hnum_lattice(max_n)
     if method in ("strata", "all"):
         tables["strata"] = {n: epoly_Bn(n) for n in range(2, max_n + 1)}
     return tables

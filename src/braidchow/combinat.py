@@ -118,7 +118,11 @@ def set_partitions(elements, min_block: int = 1):
     """All set partitions of ``elements`` (each a tuple of disjoint tuples).
 
     Blocks and the elements inside them come out sorted; ``min_block``
-    restricts the smallest allowed block size.
+    restricts the smallest allowed block size.  This is the one set-partition
+    walk of the package: ``solver.hnum_lattice`` tallies its partitions by
+    block shape, and ``leveltrees`` takes from it both the blocks a level tree
+    sheds into its top level (``min_block=2``) and the partition lattice whose
+    chains the census counts.
     """
     elements = sorted(elements)
 

@@ -17,7 +17,9 @@ vertex degrees and its excess, so it counts trees through that bijection
 same bijection over labels and builds every tree; it is kept as the reference
 for the count and for the pruning round-trip.  The census cross-check counts
 chains in the proper part of the set-partition lattice, a separate
-computation with no trees in it.
+computation with no trees in it: it lists the set partitions once and finds
+the partitions above each one by merging its blocks.  Both the blocks a tree
+sheds and the lattice come from ``combinat.set_partitions``.
 
 Each tree contributes a product over levels to the point count of the whole
 space: a vertex of degree m contributes the open-stratum count
@@ -49,25 +51,6 @@ def _make_node(level, marks, children) -> Node:
     return (level, tuple(sorted(marks)), tuple(sorted(children)))
 
 
-def _partitions_min2(labels: tuple):
-    """Set partitions of ``labels`` into blocks of size >= 2 (at least one block)."""
-    if len(labels) < 2:
-        return
-    first, rest = labels[0], labels[1:]
-    for extra in range(1, len(rest) + 1):
-        for chosen in combinations(range(len(rest)), extra):
-            chosen_set = set(chosen)
-            block = (first, *(rest[i] for i in chosen))
-            left = tuple(rest[i] for i in range(len(rest)) if i not in chosen_set)
-            if len(left) == 1:
-                continue
-            if left:
-                for others in _partitions_min2(left):
-                    yield (block, *others)
-            else:
-                yield (block,)
-
-
 def _replace_blocks(node: Node, blocks: dict, new_level: int) -> Node:
     level, marks, children = node
     kept = []
@@ -94,7 +77,7 @@ def _enumerate(labels: tuple):
             shed_set = set(shed_idx)
             shed = tuple(labels[i] for i in shed_idx)
             kept = tuple(labels[i] for i in range(n) if i not in shed_set)
-            for blocks in _partitions_min2(shed):
+            for blocks in set_partitions(shed, min_block=2):
                 stand_ins = dict(zip(range(fresh, fresh + len(blocks)), blocks))
                 for sub, top in _enumerate(kept + tuple(stand_ins)):
                     yield _replace_blocks(sub, stand_ins, top + 1), top + 1
@@ -320,47 +303,46 @@ def level_tree_census(n: int) -> dict[int, int]:
 # -- partition-lattice chain counts (independent census oracle) ---------------
 
 
-def _proper_partition_lattice(n: int) -> list[tuple[frozenset, ...]]:
-    out = []
-    for blocks in set_partitions(range(1, n + 1)):
-        if 1 < len(blocks) < n:
-            out.append(tuple(frozenset(b) for b in blocks))
-    return out
-
-
-def _refines(fine, coarse_map) -> bool:
-    # fine refines coarse iff each fine block lands inside one coarse block
-    for block in fine:
-        it = iter(block)
-        target = coarse_map[next(it)]
-        if any(coarse_map[x] is not target for x in it):
-            return False
-    return True
+def _block_labels(blocks, size: int) -> tuple[int, ...]:
+    # entry x is the index of the block holding x: the canonical form of a set
+    # partition of range(size), since set_partitions orders blocks by their
+    # smallest element
+    labels = [0] * size
+    for i, block in enumerate(blocks):
+        for x in block:
+            labels[x] = i
+    return tuple(labels)
 
 
 def chain_counts_by_length(n: int) -> dict[int, int]:
     """Chains in the proper part of the partition lattice, by chain size
-    (size 0 = the empty chain), counted by powers of the strict zeta matrix."""
-    elements = _proper_partition_lattice(n)
-    block_maps = []
-    for blocks in elements:
-        bm = {}
-        for block in blocks:
-            for x in block:
-                bm[x] = block
-        block_maps.append(bm)
-    # strict order: i < j iff i has more blocks and refines j
-    below: list[list[int]] = [[] for _ in elements]
-    for j, coarse in enumerate(elements):
-        for i, fine in enumerate(elements):
-            if len(fine) > len(coarse) and _refines(fine, block_maps[j]):
-                below[j].append(i)
+    (size 0 = the empty chain), counted by powers of the strict zeta matrix.
+
+    The partitions strictly coarser than one with k blocks are its merges,
+    the set partitions of its k blocks into 2 to k - 1 groups.  The merges
+    are listed once per k; a merge numbers its groups by their first block,
+    so relabelling each element's block by its group gives the coarser
+    partition's canonical labels directly, and a dict index finds it."""
+    labels = [_block_labels(p, n) for p in set_partitions(range(n)) if 1 < len(p) < n]
+    index = {lab: i for i, lab in enumerate(labels)}
+    merges = {
+        k: [_block_labels(m, k) for m in set_partitions(range(k)) if 1 < len(m) < k]
+        for k in range(2, n)
+    }
+    above = [
+        [index[tuple(map(merge.__getitem__, lab))] for merge in merges[max(lab) + 1]]
+        for lab in labels
+    ]
     counts = {0: 1}
-    vec = [1] * len(elements)
+    vec = [1] * len(labels)
     length = 1
     while any(vec):
         counts[length] = sum(vec)
-        vec = [sum(vec[i] for i in below[j]) for j in range(len(elements))]
+        nxt = [0] * len(labels)
+        for ways, coarser in zip(vec, above):
+            for j in coarser:
+                nxt[j] += ways
+        vec = nxt
         length += 1
     return counts
 

@@ -27,7 +27,6 @@ rebuilds B stratum layer by stratum layer.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -190,21 +189,7 @@ def equivariant_table(n: int, B: GradedSeries | None = None) -> dict[Partition, 
 # -- numerical routes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumericTable:
-    """Rank polynomials H_n^num (n >= 1) and their values at t = 1."""
-
-    n_max: int
-    hnum: dict[int, TPoly]
-    chi: dict[int, int]
-
-    @classmethod
-    def from_hnum(cls, hnum: dict[int, TPoly]) -> "NumericTable":
-        chi = {n: int(p.eval(1)) for n, p in hnum.items()}
-        return cls(max(hnum), hnum, chi)
-
-
-def hnum_stirling(n_max: int) -> NumericTable:
+def hnum_stirling(n_max: int) -> dict[int, TPoly]:
     """Recursion via sums of first- times second-kind Stirling numbers."""
     hnum: dict[int, TPoly] = {1: TPoly.const(1)}
     for n in range(2, n_max + 1):
@@ -218,10 +203,10 @@ def hnum_stirling(n_max: int) -> NumericTable:
             )
             rhs = rhs + hnum[k] * inner
         hnum[n] = rhs.divexact(T_MINUS_ONE)
-    return NumericTable.from_hnum(hnum)
+    return hnum
 
 
-def hnum_bell(n_max: int) -> NumericTable:
+def hnum_bell(n_max: int) -> dict[int, TPoly]:
     """Recursion via partial Bell polynomials in omega_i(t - 1)."""
     hnum: dict[int, TPoly] = {1: TPoly.const(1)}
     for n in range(2, n_max + 1):
@@ -230,10 +215,10 @@ def hnum_bell(n_max: int) -> NumericTable:
             args = [omega_shifted(i) for i in range(1, n - k + 2)]
             rhs = rhs + hnum[k] * bell_partial(n, k, args)
         hnum[n] = rhs.divexact(T_MINUS_ONE)
-    return NumericTable.from_hnum(hnum)
+    return hnum
 
 
-def hnum_lattice(n_max: int) -> NumericTable:
+def hnum_lattice(n_max: int) -> dict[int, TPoly]:
     """Recursion by brute-force enumeration of set partitions of {1..n}.
 
     Deliberately independent of the Bell-polynomial closed form: every set
@@ -258,15 +243,15 @@ def hnum_lattice(n_max: int) -> NumericTable:
                 prod = prod * omega_shifted(size)
             rhs = rhs + hnum[k] * prod
         hnum[n] = rhs.divexact(T_MINUS_ONE)
-    return NumericTable.from_hnum(hnum)
+    return hnum
 
 
-def hnum_from_solver(B: GradedSeries) -> NumericTable:
+def hnum_from_solver(B: GradedSeries) -> dict[int, TPoly]:
     """Rank specialization of the equivariant solution."""
     dims = rk(B.total())
     hnum = {1: TPoly.const(1)}
     hnum.update({n: poly for n, poly in dims.items() if n >= 2})
-    return NumericTable.from_hnum(hnum)
+    return hnum
 
 
 def euler_chars(n_max: int) -> dict[int, int]:

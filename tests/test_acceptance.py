@@ -84,8 +84,8 @@ def test_criterion_5_input_series_validation(capsys):
 
 
 def test_criterion_6_level_tree_census(capsys):
-    with capsys.disabled(), _Report(6, "tree census vs chain counts (n <= 7) + round-trip"):
-        run_check("level tree census", 7)
+    with capsys.disabled(), _Report(6, "tree census vs chain counts (n <= 8) + round-trip"):
+        run_check("level tree census", 8)
         assert [sum(level_tree_census(n).values()) for n in (2, 3, 4)] == [1, 4, 32]
         run_check("pruning round-trip", 5)
 

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from braidchow import checks, cli, combinat, solver
 from braidchow.graded import GradedSeries
@@ -268,9 +272,16 @@ def test_strata_count_only(capsys):
     assert payload["total"] == 436
 
 
+def test_strata_at_the_cap(capsys):
+    code, out = run_cli(capsys, "strata", "--n", "8", "--count-only")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total"] == payload["chain_count"] == 10270696
+
+
 def test_strata_cap():
     with pytest.raises(SystemExit) as exc:
-        cli.main(["strata", "--n", "8"])
+        cli.main(["strata", "--n", "9"])
     assert exc.value.code == 2
 
 
@@ -407,3 +418,51 @@ def test_stdout_matches_pinned_digest(capsys, command):
     code, out = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]
+
+
+# -- argument fuzzing -----------------------------------------------------------------------
+
+# Valid degrees are drawn only up to 6, so that every run that gets past the
+# parser stays fast; 7..12 run the same code at more cost.  The commands
+# default to --max-n 8, so an argv that never sets a degree gets --max-n 2
+# right after its command, where any drawn --max-n still overrides it.
+DEGREES = st.one_of(
+    st.sampled_from(["2", "3", "4", "5", "6"]),
+    st.sampled_from(["0", "1", "-3", "13", "99", "x", "3.5", ""]),
+)
+COMMANDS = st.sampled_from(["table", "numeric", "m-series", "strata", "verify", "tabel", "-h", ""])
+OPTIONS = st.one_of(
+    st.tuples(st.sampled_from(["--max-n", "--n"]), DEGREES),
+    st.tuples(st.just("--format"), st.sampled_from(["json", "csv", "latex", "xml"])),
+    st.tuples(st.just("--method"), st.sampled_from([*cli.METHODS, "fast"])),
+    st.tuples(st.just("--basis"), st.sampled_from(["schur", "p", "e"])),
+    st.tuples(st.just("--output"), st.sampled_from(["file", "dir", "missing-dir"])),
+    st.sampled_from([("--count-only",), ("--max-n",), ("--bogus",), ("4",), ("-h",)]),
+)
+
+
+@settings(max_examples=60)
+@given(COMMANDS, st.lists(OPTIONS, max_size=3))
+def test_fuzzed_argv_runs_or_exits_2_with_a_message(tmp_path_factory, command, options):
+    where = tmp_path_factory.getbasetemp()
+    paths = {
+        "file": str(where / "out.txt"),
+        "dir": str(where),
+        "missing-dir": str(where / "no" / "x"),
+    }
+    argv = [command] if command else []
+    if command in ("table", "numeric", "m-series", "verify"):
+        argv += ["--max-n", "2"]
+    for option in options:
+        argv += [paths.get(token, token) for token in option]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith(("usage: braidchow", "braidchow: error:")), argv
+    else:
+        assert code in (0, 1), (argv, code)

@@ -95,7 +95,7 @@ def test_counted_tally_equals_the_walked_one(n):
 
 
 def test_census_at_7_and_8():
-    # n = 8 is chain_counts_by_length(8) shifted by one level (14 s to recompute)
+    # n = 8 is chain_counts_by_length(8) shifted by one level
     assert level_tree_census(7) == {1: 1, 2: 875, 3: 16674, 4: 74165, 5: 114345, 6: 56700}
     assert level_tree_census(8) == {
         1: 1, 2: 4138, 3: 155477, 4: 1208830, 5: 3394790, 6: 3919860, 7: 1587600
@@ -223,7 +223,7 @@ def test_epoly_small():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_epoly_matches_recursions(n):
-    assert epoly_Bn(n) == hnum_stirling(n).hnum[n]
+    assert epoly_Bn(n) == hnum_stirling(n)[n]
 
 
 def test_epoly_monic_palindromic():

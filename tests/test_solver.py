@@ -230,26 +230,26 @@ def reference_hnum(n):
 
 @pytest.mark.parametrize("route", [hnum_stirling, hnum_bell, hnum_lattice])
 def test_hnum_routes_match_reference_dimensions(route):
-    table = route(6)
+    hnum = route(6)
     for n in range(2, 7):
-        assert table.hnum[n] == reference_hnum(n), n
-    assert table.hnum[1] == TPoly.const(1)
+        assert hnum[n] == reference_hnum(n), n
+    assert hnum[1] == TPoly.const(1)
 
 
 def test_hnum_spot_values():
-    table = hnum_stirling(6)
-    assert table.hnum[2] == TPoly.const(1)
-    assert table.hnum[3] == TPoly((1, 1))
-    assert table.hnum[4] == TPoly((1, 8, 1))
-    assert table.hnum[5] == TPoly((1, 41, 41, 1))
-    assert table.hnum[6] == TPoly((1, 187, 732, 187, 1))
+    hnum = hnum_stirling(6)
+    assert hnum[2] == TPoly.const(1)
+    assert hnum[3] == TPoly((1, 1))
+    assert hnum[4] == TPoly((1, 8, 1))
+    assert hnum[5] == TPoly((1, 41, 41, 1))
+    assert hnum[6] == TPoly((1, 187, 732, 187, 1))
 
 
 def test_four_routes_agree(B8):
-    solver = hnum_from_solver(B8).hnum
-    stirling = hnum_stirling(8).hnum
-    bell = hnum_bell(8).hnum
-    lattice = hnum_lattice(8).hnum
+    solver = hnum_from_solver(B8)
+    stirling = hnum_stirling(8)
+    bell = hnum_bell(8)
+    lattice = hnum_lattice(8)
     assert solver == stirling == bell == lattice
 
 
@@ -270,7 +270,7 @@ def per_partition_lattice(n_max):
 
 
 def test_lattice_shape_grouping_matches_per_partition_sum():
-    assert hnum_lattice(7).hnum == per_partition_lattice(7)
+    assert hnum_lattice(7) == per_partition_lattice(7)
 
 
 def test_lattice_walks_every_set_partition(monkeypatch):
@@ -297,13 +297,13 @@ def test_lattice_cap():
 def test_euler_characteristics():
     chi = euler_chars(12)
     assert [chi[n] for n in range(1, 6)] == [1, 1, 2, 10, 84]
-    hnum = hnum_stirling(12).hnum
+    hnum = hnum_stirling(12)
     for n in range(1, 13):
         assert chi[n] == hnum[n].eval(1)
 
 
 def test_structural_properties():
-    hnum = hnum_stirling(10).hnum
+    hnum = hnum_stirling(10)
     for n in range(2, 11):
         p = hnum[n]
         assert p.degree == n - 2
