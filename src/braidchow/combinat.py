@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
+from .partitions import multiplicities, partitions_of
 from .tpoly import TPoly, T_MINUS_ONE
 
 
@@ -61,23 +62,6 @@ def omega_shifted(n: int) -> TPoly:
     return omega(n).compose(T_MINUS_ONE)
 
 
-def _length_k_partitions_by_multiplicity(n: int, k: int, max_part: int):
-    # multiplicity vectors (m_1, ..., m_max_part) with sum i*m_i = n, sum m_i = k,
-    # in increasing order of largest part used
-    def gen(i, remaining, length_left, mults):
-        if i > max_part:
-            if remaining == 0 and length_left == 0:
-                yield tuple(mults)
-            return
-        top = min(length_left, remaining // i)
-        for m in range(top + 1):
-            mults.append(m)
-            yield from gen(i + 1, remaining - i * m, length_left - m, mults)
-            mults.pop()
-
-    yield from gen(1, n, k, [])
-
-
 def bell_partial(n: int, k: int, xs) -> TPoly:
     """Partial exponential Bell polynomial Bell_{n,k}(x_1, ..., x_{n-k+1}).
 
@@ -91,13 +75,14 @@ def bell_partial(n: int, k: int, xs) -> TPoly:
         raise ValueError(f"need {width} arguments, got {len(xs)}")
     xs = [x if isinstance(x, TPoly) else TPoly.const(x) for x in xs]
     total = TPoly()
-    for mults in _length_k_partitions_by_multiplicity(n, k, width):
+    for parts in partitions_of(n):
+        if len(parts) != k:
+            continue
         coeff = Fraction(factorial(n))
         term = TPoly.const(1)
-        for i, m in enumerate(mults, start=1):
-            if m:
-                coeff /= Fraction(factorial(i) ** m * factorial(m))
-                term = term * xs[i - 1] ** m
+        for i, m in multiplicities(parts).items():
+            coeff /= Fraction(factorial(i) ** m * factorial(m))
+            term = term * xs[i - 1] ** m
         total = total + term * coeff
     return total
 
@@ -114,15 +99,15 @@ def stirling_bell_identity_check(n: int, k: int) -> bool:
     return lhs == TPoly(rhs_coeffs)
 
 
-def set_partitions(elements, min_block: int = 1):
+def set_partitions(elements):
     """All set partitions of ``elements`` (each a tuple of disjoint tuples).
 
-    Blocks and the elements inside them come out sorted; ``min_block``
-    restricts the smallest allowed block size.  This is the one set-partition
-    walk of the package: ``solver.hnum_lattice`` tallies its partitions by
-    block shape, and ``leveltrees`` takes from it both the blocks a level tree
-    sheds into its top level (``min_block=2``) and the partition lattice whose
-    chains the census counts.
+    Blocks and the elements inside them come out sorted, blocks ordered by
+    their smallest element.  This is the one set-partition walk of the
+    package: ``solver.hnum_lattice`` tallies its partitions by block shape,
+    ``leveltrees.enumerate_level_trees`` grafts the smaller trees onto them,
+    and ``leveltrees.chain_counts_by_length`` lists the partition lattice
+    whose chains the census counts.  The last two rely on the block order.
     """
     elements = sorted(elements)
 
@@ -132,12 +117,10 @@ def set_partitions(elements, min_block: int = 1):
             return
         first, rest = remaining[0], remaining[1:]
         # the block containing the smallest element determines the recursion
-        for extra in range(min_block - 1, len(rest) + 1):
+        for extra in range(len(rest) + 1):
             for chosen in combinations(rest, extra):
                 chosen_set = set(chosen)
                 left = [x for x in rest if x not in chosen_set]
-                if 0 < len(left) < min_block:
-                    continue
                 block = (first, *chosen)
                 for others in gen(left):
                     yield (block, *others)

@@ -33,9 +33,9 @@ class GradedSeries:
         return acc
 
     @classmethod
-    def split(cls, s: SymSeries, n_min: int = 2) -> "GradedSeries":
-        """Slice a series into its homogeneous degree components from n_min up."""
-        comps = {n: part for n, part in s.by_degree().items() if n >= n_min}
+    def split(cls, s: SymSeries) -> "GradedSeries":
+        """Slice a series into its homogeneous degree components from 2 up."""
+        comps = {n: part for n, part in s.by_degree().items() if n >= 2}
         return cls(s.n_max, comps)
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":

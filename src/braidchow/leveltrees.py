@@ -6,20 +6,24 @@ strictly increase away from the root, and every vertex v satisfies the
 stability bound val(v) + #markings(v) >= 3.
 
 Pruning deletes all vertices of the top level and turns each into a marking
-on its parent.  It is a bijection: a tree with one more level is a tree on a
-smaller marking set together with a choice of markings to blow up into new
-top-level vertices carrying blocks of at least two labels.  Every isomorphism
+on its parent, relabelling the new markings in the lexicographic order of the
+label sets they stand for.  It is a bijection: a tree with one more level is
+a tree on m markings together with a set partition of {1, ..., n} into m
+blocks, 2 <= m < n, marking j growing into block j (a plain marking for a
+single label, a new top-level vertex for a larger block).  Every isomorphism
 class arises exactly once because fully-labeled stable trees are rigid.
 
 The stratum-sum oracle needs from each tree only its number of levels, its
 vertex degrees and its excess, so it counts trees through that bijection
-(``_tree_tally``) without building any.  ``enumerate_level_trees`` walks the
-same bijection over labels and builds every tree; it is kept as the reference
-for the count and for the pruning round-trip.  The census cross-check counts
-chains in the proper part of the set-partition lattice, a separate
-computation with no trees in it: it lists the set partitions once and finds
-the partitions above each one by merging its blocks.  Both the blocks a tree
-sheds and the lattice come from ``combinat.set_partitions``.
+(``_tree_tally``) without building any.  ``enumerate_level_trees`` builds
+every tree by running pruning backwards: it grafts each smaller tree onto
+each set partition from ``combinat.set_partitions``, whose blocks come in
+the same order as pruning's relabelling, so the walk and ``unprune`` share
+one graft step.  It is kept as the reference for the count and for the
+pruning round-trip.  The census cross-check counts chains in the proper part
+of the set-partition lattice, a separate computation with no trees in it: it
+lists the set partitions once and finds the partitions above each one by
+merging its blocks.
 
 Each tree contributes a product over levels to the point count of the whole
 space: a vertex of degree m contributes the open-stratum count
@@ -33,7 +37,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial, prod
 
 from .combinat import set_partitions
@@ -51,36 +54,34 @@ def _make_node(level, marks, children) -> Node:
     return (level, tuple(sorted(marks)), tuple(sorted(children)))
 
 
-def _replace_blocks(node: Node, blocks: dict, new_level: int) -> Node:
+def _graft(node: Node, blocks, new_level: int) -> Node:
+    # marking j >= 1 becomes blocks[j - 1]: a plain marking when the block has
+    # one label, otherwise a new vertex at new_level carrying the block
     level, marks, children = node
     kept = []
-    new_children = [_replace_blocks(c, blocks, new_level) for c in children]
+    new_children = [_graft(c, blocks, new_level) for c in children]
     for m in marks:
-        if m in blocks:
-            new_children.append(_make_node(new_level, blocks[m], ()))
+        block = blocks[m - 1] if m else (0,)
+        if len(block) == 1:
+            kept.append(block[0])
         else:
-            kept.append(m)
+            new_children.append(_make_node(new_level, block, ()))
     return _make_node(level, kept, new_children)
 
 
-def _enumerate(labels: tuple):
-    """Yield (node, top_level) for every level tree on the given non-root labels."""
-    n = len(labels)
-    if n >= 2:
-        yield _make_node(0, (0, *labels), ()), 0
-    # shed a subset into blocks of size >= 2; the rest stay plain markings.
-    # Each block stands in the smaller tree as a fresh label above every
-    # label in use, so the recursion sees integers only.
-    fresh = max(labels, default=0) + 1
-    for shed_size in range(2, n + 1):
-        for shed_idx in combinations(range(n), shed_size):
-            shed_set = set(shed_idx)
-            shed = tuple(labels[i] for i in shed_idx)
-            kept = tuple(labels[i] for i in range(n) if i not in shed_set)
-            for blocks in set_partitions(shed, min_block=2):
-                stand_ins = dict(zip(range(fresh, fresh + len(blocks)), blocks))
-                for sub, top in _enumerate(kept + tuple(stand_ins)):
-                    yield _replace_blocks(sub, stand_ins, top + 1), top + 1
+def _walk(n: int, smaller: dict):
+    """Yield (root, number of levels) for every level tree on {0, ..., n}.
+
+    ``smaller`` maps m to the list of trees on m markings, each filled once."""
+    yield _make_node(0, range(n + 1), ()), 1
+    for blocks in set_partitions(range(1, n + 1)):
+        m = len(blocks)
+        if not 2 <= m < n:
+            continue
+        if m not in smaller:
+            smaller[m] = list(_walk(m, smaller))
+        for node, levels in smaller[m]:
+            yield _graft(node, blocks, levels), levels + 1
 
 
 @dataclass(frozen=True)
@@ -198,31 +199,19 @@ class LevelTree:
 def unprune(tree: LevelTree, assignment: tuple[tuple[int, ...], ...]) -> LevelTree:
     """Inverse of prune: marking j becomes assignment[j-1], as a plain marking
     when that tuple has length 1 and as a new top-level vertex otherwise."""
-    new_level = tree.length
-
-    def rebuild(node: Node) -> Node:
-        level, marks, children = node
-        kept = []
-        new_children = [rebuild(c) for c in children]
-        for m in marks:
-            if m == 0:
-                kept.append(0)
-                continue
-            subset = assignment[m - 1]
-            if len(subset) == 1:
-                kept.append(subset[0])
-            else:
-                new_children.append(_make_node(new_level, subset, ()))
-        return _make_node(level, kept, new_children)
-
-    return LevelTree(rebuild(tree.root))
+    return LevelTree(_graft(tree.root, assignment, tree.length))
 
 
 def enumerate_level_trees(n: int):
-    """Every level tree on markings {0, ..., n}, streamed, each class once."""
+    """Every level tree on markings {0, ..., n}, streamed, each class once.
+
+    Pruning inverted: the single-level tree first, then, for each set
+    partition of {1, ..., n} into m blocks with 2 <= m < n, every tree on m
+    markings with marking j grafted onto block j one level up.  The trees on
+    each smaller m are listed once per call."""
     if n < 2:
         raise ValueError("level trees need at least two non-root markings")
-    for node, _top in _enumerate(tuple(range(1, n + 1))):
+    for node, _levels in _walk(n, {}):
         yield LevelTree(node)
 
 

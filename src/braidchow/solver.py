@@ -148,15 +148,14 @@ def verify_functional_equation(
     return lhs == rhs
 
 
-def level_filtration(M: GradedSeries, n_max: int | None = None) -> list[GradedSeries]:
+def level_filtration(M: GradedSeries) -> list[GradedSeries]:
     """Stratum layers by number of levels: the first layer is M itself and
 
         (t - 1) * layer_{k+1} = layer_k o G - layer_k,
 
     with exact division.  Stops at the first layer that vanishes through
-    n_max; their sum is the full solution."""
-    if n_max is None:
-        n_max = M.n_max
+    M.n_max; their sum is the full solution."""
+    n_max = M.n_max
     G = growth_series(M).truncate(n_max)
     cache = PlethysmCache(G)
     layers: list[GradedSeries] = []

@@ -33,10 +33,6 @@ class TPoly:
     def const(cls, c: Scalar) -> "TPoly":
         return cls((c,))
 
-    @classmethod
-    def monomial(cls, exp: int, c: Scalar = 1) -> "TPoly":
-        return cls([0] * exp + [c])
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""

@@ -87,7 +87,7 @@ def test_criterion_6_level_tree_census(capsys):
     with capsys.disabled(), _Report(6, "tree census vs chain counts (n <= 8) + round-trip"):
         run_check("level tree census", 8)
         assert [sum(level_tree_census(n).values()) for n in (2, 3, 4)] == [1, 4, 32]
-        run_check("pruning round-trip", 5)
+        run_check("pruning round-trip", 6)
 
 
 def test_criterion_7_structural_properties(capsys):

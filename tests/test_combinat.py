@@ -148,20 +148,16 @@ def test_bell_limit_formula():
             assert value == expected
 
 
-def test_set_partitions_min_block():
-    # partitions of a 4-set into blocks of size >= 2: one 4-block and three 2+2s
-    parts = list(set_partitions(range(4), min_block=2))
-    assert len(parts) == 4
-    sizes = sorted(tuple(sorted(len(b) for b in p)) for p in parts)
-    assert sizes == [(2, 2), (2, 2), (2, 2), (4,)]
-
-
 def test_set_partitions_are_partitions():
     elements = list(range(6))
     seen = set()
     for blocks in set_partitions(elements):
         flat = sorted(x for b in blocks for x in b)
         assert flat == elements
+        # the block order that the level-tree walk and the chain count rely on:
+        # sorted blocks, ordered by their smallest element
+        assert all(list(b) == sorted(b) for b in blocks)
+        assert list(blocks) == sorted(blocks)
         assert blocks not in seen
         seen.add(blocks)
     assert len(seen) == 203  # Bell number B_6

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -54,6 +55,25 @@ def test_no_duplicates():
     for n in (3, 4, 5):
         trees = list(enumerate_level_trees(n))
         assert len(set(trees)) == len(trees)
+
+
+# sha256 of repr(sorted(t.root for t in enumerate_level_trees(n))): the tree
+# set of the labelled walk, whatever order it yields the trees in.  A wrong
+# labelling with the right shape statistics passes the tally test, not this.
+TREE_SET_SHA256 = {
+    2: (1, "ee8ae6403cc934fac685b45b108bb2dfabffb56842c24e3460fbfde820618753"),
+    3: (4, "4e8002b8ebaeb3322e39f3574ed0ccbc0450cc32ed0b80fe1d8d9967094c7831"),
+    4: (32, "3b9ca28f2c2f46bd9101c82218c7a1dda61413f4a06eac164d611cbc7b6d1182"),
+    5: (436, "6c7e29fb6a70d36c7d29e4da15f8e60cdb161b02284414b4566120cd4e9a876e"),
+    6: (9012, "f77340740fe595cdc29fe67e8ba468de07a6c03667620902fc7c7b59e8d104fb"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(TREE_SET_SHA256))
+def test_walk_yields_the_pinned_tree_set(n):
+    roots = sorted(t.root for t in enumerate_level_trees(n))
+    digest = hashlib.sha256(repr(roots).encode()).hexdigest()
+    assert (len(roots), digest) == TREE_SET_SHA256[n]
 
 
 def test_all_markings_present():
