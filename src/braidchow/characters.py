@@ -1,12 +1,21 @@
 """Symmetric group characters and the Schur basis.
 
-Irreducible character values are computed by the Murnaghan-Nakayama
-border-strip recursion, implemented on first-column hook lengths (beta
-numbers): removing a strip of size r means lowering one beta number by r,
-and the sign is read off from the number of beta numbers jumped over.
-Tables are cached per n; together with the power-sum inner product
-<p_lam, p_mu> = z_lam [lam = mu] they give Schur expansions of any
-homogeneous series.
+Both directions of the Murnaghan-Nakayama rule are implemented on
+first-column hook lengths (beta numbers): removing a border strip of size r
+lowers one beta number by r, adding one raises one by r, and the sign is
+read off from the number of beta numbers jumped over.
+
+`character_value` and `character_table` apply the removal form recursively,
+chi^lam(mu) = sum over strips lam/nu of size mu_1 of +-chi^nu(mu_2, ...).
+`schur_series` reads them.
+
+`schur_expand` applies the adding form, p_r s_nu = sum +-s_lam over strips
+lam/nu of size r, straight to a series' integer rows, and builds no
+character table: the terms c p_mu start at the node mu, and each node nu,
+largest first, multiplies its Schur vector by p_(last part of nu) and adds
+it into the node nu minus its last part.  Partitions that share a prefix
+share that work, and the root holds every <f, s_lam> at once.  The removal
+route stays as the independent oracle for it (`checks`, tests).
 """
 
 from __future__ import annotations
@@ -41,12 +50,45 @@ def _strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def character_value(lam: Partition, mu: Partition) -> int:
-    """chi^lam(mu) for partitions of the same size."""
+def _add_strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
+    """Partitions obtained by adding a border strip of size r, with signs.
+
+    The exact inverse of `_strips`: (nu, sign) is listed for (lam, r) here
+    exactly when (lam, sign) is listed for (nu, r) there.  lam is padded with
+    r zero rows, enough for any strip of size r to end in.  Raising the beta
+    number of row i by r moves it up past the height h = i - j beta numbers
+    it jumps over: the strip's head lands in row j, and rows j+1..i each take
+    the part of the row above plus one.
+    """
+    parts = lam + (0,) * r
+    ell = len(parts)
+    betas = [p + (ell - 1 - i) for i, p in enumerate(parts)]
+    results = []
+    for i, b in enumerate(betas):
+        nb = b + r
+        j = i
+        while j and betas[j - 1] < nb:
+            j -= 1
+        if j and betas[j - 1] == nb:
+            continue
+        new = parts[:j] + (nb - (ell - 1 - j),) + tuple(p + 1 for p in parts[j:i]) + parts[i + 1:]
+        results.append((tuple(p for p in new if p), -1 if (i - j) % 2 else 1))
+    return tuple(results)
+
+
+@lru_cache(maxsize=None)
+def _character_value(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
     r, rest = mu[0], mu[1:]
-    return sum(sign * character_value(sub, rest) for sub, sign in _strips(lam, r))
+    return sum(sign * _character_value(sub, rest) for sub, sign in _strips(lam, r))
+
+
+def character_value(lam: Partition, mu: Partition) -> int:
+    """chi^lam(mu) for partitions of the same size."""
+    if sum(lam) != sum(mu):
+        raise ValueError(f"character value of partitions of different sizes: {lam} and {mu}")
+    return _character_value(lam, mu)
 
 
 @dataclass(frozen=True)
@@ -67,7 +109,7 @@ def character_table(n: int) -> CharacterTable:
     if n < 1:
         raise ValueError("n must be positive")
     lams = partitions_of(n)
-    values = {(lam, mu): character_value(lam, mu) for lam in lams for mu in lams}
+    values = {(lam, mu): _character_value(lam, mu) for lam in lams for mu in lams}
     return CharacterTable(n, values)
 
 
@@ -90,31 +132,48 @@ def schur_series(lam: Partition, n_max: int | None = None) -> SymSeries:
 def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
     """Schur coefficients of a series homogeneous of degree n.
 
-    Returns only the nonzero coefficients, as polynomials in t.  Uses
-    <f, s_lam> = sum_mu chi^lam(mu) * (coefficient of p_mu in f), summed over
-    integer numerators on f's common denominator; one Fraction is built per
-    output coefficient.
+    Returns only the nonzero coefficients <f, s_lam>, as polynomials in t,
+    in the order of `partitions_of(n)`.  Each term c t^k p_mu becomes entry k
+    of an integer row over f's common denominator, held at the node mu as
+    the Schur vector {(): row}.  For j = n down to 1, every node nu of size j
+    multiplies its vector by p_r, r = nu[-1], through `_add_strips`, and adds
+    the result into the node nu[:-1]; the root () then holds
+    p_mu = sum_lam chi^lam(mu) s_lam summed over f.  One Fraction is built
+    per output coefficient.
     """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     if not f.is_homogeneous(n):
         raise ValueError(f"series is not homogeneous of degree {n}")
-    table = character_table(n)
     den = lcm(*(c.denominator for c in f.terms.values()))
     width = f.t_degree() + 1
-    rows: dict[Partition, list[int]] = {}
+    # nodes[j]: partition nu of size j -> its Schur vector {lam: integer t-row}
+    nodes: list[dict[Partition, dict[Partition, list[int]]]] = [{} for _ in range(n + 1)]
+    top = nodes[n]
     for (mu, k), c in f.terms.items():
-        row = rows.get(mu)
-        if row is None:
-            row = rows[mu] = [0] * width
-        row[k] = c.numerator * (den // c.denominator)
+        vec = top.get(mu)
+        if vec is None:
+            vec = top[mu] = {(): [0] * width}
+        vec[()][k] = c.numerator * (den // c.denominator)
+    for j in range(n, 0, -1):
+        for nu, vec in nodes[j].items():
+            r = nu[-1]
+            parent = nodes[j - r].setdefault(nu[:-1], {})
+            for lam, row in vec.items():
+                for sup, sign in _add_strips(lam, r):
+                    acc = parent.get(sup)
+                    if acc is None:
+                        parent[sup] = row if sign > 0 else [-v for v in row]
+                    elif sign > 0:
+                        parent[sup] = [a + v for a, v in zip(acc, row)]
+                    else:
+                        parent[sup] = [a - v for a, v in zip(acc, row)]
+        nodes[j] = {}
+    root = nodes[0].get((), {})
     out: dict[Partition, TPoly] = {}
     for lam in partitions_of(n):
-        acc = [0] * width
-        for mu, row in rows.items():
-            chi = table.chi(lam, mu)
-            if chi:
-                for k, v in enumerate(row):
-                    acc[k] += chi * v
-        if any(acc):
+        acc = root.get(lam)
+        if acc is not None and any(acc):
             out[lam] = TPoly([Fraction(v, den) for v in acc])
     return out
 

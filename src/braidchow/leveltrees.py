@@ -244,14 +244,17 @@ def _tree_tally(n: int) -> tuple[tuple[tuple[int, tuple[int, ...], int], int], .
     levels of (vertices - 1).
 
     Counted through the pruning bijection, with no tree built: besides the
-    single-level tree, every tree sheds s markings into top-level blocks of
-    shape beta (parts >= 2, b = len(beta)) over a tree on n - s + b markings.
-    There are C(n, s) choices of the shed markings and
-    s! / (prod beta_i! * prod m_j!) set partitions of them of shape beta, m_j
-    the multiplicities of the parts.  A stand-in marking that becomes an edge
-    leaves its parent's degree unchanged, and each new top vertex has degree
-    beta_i + 1.  ``enumerate_level_trees`` walks the same recursion over
-    labels and is the reference for this count."""
+    single-level tree, every tree is a tree on m markings grafted one level
+    up onto a set partition of {1, ..., n} into m blocks, 2 <= m < n.  The
+    pairs are grouped by the partition's shape: n - s singleton blocks and
+    non-singleton blocks of shape beta (parts >= 2, b = len(beta)) on the
+    other s labels, so m = n - s + b.  There are C(n, s) choices of those s
+    labels and s! / (prod beta_i! * prod m_j!) set partitions of them of
+    shape beta, m_j the multiplicities of the parts.  A marking grafted onto
+    a singleton stays a marking and one grafted onto a block becomes an
+    edge, so neither changes its parent's degree; each new top vertex has
+    degree beta_i + 1.  ``enumerate_level_trees`` walks these same pairs one
+    by one, with labels, and is the reference for this count."""
     if n < 2:
         return ()
     tally: Counter = Counter({(1, (n + 1,), 0): 1})

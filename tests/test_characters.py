@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 
 from braidchow.characters import (
+    _add_strips,
+    _strips,
     character_table,
     character_value,
     schur_combination,
@@ -13,6 +15,7 @@ from braidchow.characters import (
     schur_series,
 )
 from braidchow.partitions import partitions_of, z_lambda
+from braidchow.solver import solved_series
 from braidchow.symseries import SymSeries
 from braidchow.tpoly import TPoly
 
@@ -99,6 +102,29 @@ def test_character_value_standalone():
             assert character_value(lam, (n,)) == expected
 
 
+def test_character_value_rejects_partitions_of_different_sizes():
+    for lam, mu in [((3,), (1,)), ((2, 1), (2,)), ((), (1,))]:
+        with pytest.raises(ValueError) as err:
+            character_value(lam, mu)
+        assert str(lam) in str(err.value) and str(mu) in str(err.value)
+
+
+def test_adding_a_strip_inverts_removing_one():
+    # (lam, sign) in add(nu, r) <=> (nu, sign) in remove(lam, r), for |nu| <= 10, |lam| <= 12
+    removed = {}
+    for m in range(1, 13):
+        for lam in partitions_of(m):
+            for r in range(1, m + 1):
+                for nu, sign in _strips(lam, r):
+                    removed.setdefault((nu, r), set()).add((lam, sign))
+    for m in range(11):
+        for nu in partitions_of(m):
+            for r in range(1, 13 - m):
+                added = _add_strips(nu, r)
+                assert len(set(added)) == len(added)
+                assert set(added) == removed.get((nu, r), set()), (nu, r)
+
+
 def test_schur_expand_h2():
     assert schur_expand(SymSeries.h(2), 2) == {(2,): TPoly.const(1)}
 
@@ -112,6 +138,14 @@ def test_schur_expand_rejects_inhomogeneous():
     f = SymSeries.h(2, 3) + SymSeries.p(3, 3)
     with pytest.raises(ValueError):
         schur_expand(f, 3)
+
+
+def test_schur_expand_in_degree_zero():
+    assert schur_expand(SymSeries.one(0), 0) == {(): TPoly.const(1)}
+    assert schur_combination({(): TPoly.const(1)}, 0) == SymSeries.one(0)
+    assert schur_expand(SymSeries.zero(0), 0) == {}
+    with pytest.raises(ValueError):
+        schur_expand(SymSeries.zero(0), -1)
 
 
 def test_schur_series_h_and_e():
@@ -149,9 +183,8 @@ def homogeneous_series(max_n=7):
     return st.integers(min_value=1, max_value=max_n).flatmap(of_degree)
 
 
-@given(homogeneous_series())
-def test_schur_expand_matches_a_naive_fraction_dot_product(case):
-    n, f = case
+def character_table_expansion(f, n):
+    """<f, s_lam> as a Fraction dot product with the removal-rule character table."""
     table = character_table(n)
     expected = {}
     for lam in partitions_of(n):
@@ -161,4 +194,19 @@ def test_schur_expand_matches_a_naive_fraction_dot_product(case):
         ]
         if any(coeffs):
             expected[lam] = TPoly(coeffs)
-    assert schur_expand(f, n) == expected
+    return expected
+
+
+@given(homogeneous_series())
+def test_schur_expand_matches_a_naive_fraction_dot_product(case):
+    n, f = case
+    assert schur_expand(f, n) == character_table_expansion(f, n)
+
+
+def test_schur_expand_of_the_top_solved_component_matches_the_character_table():
+    # the removal route at the degree `table --max-n 12` expands
+    f = solved_series(12).component(12)
+    expected = character_table_expansion(f, 12)
+    got = schur_expand(f, 12)
+    assert list(got) == list(expected)
+    assert got == expected

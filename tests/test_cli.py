@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from braidchow import checks, cli, combinat, solver
+from braidchow import characters, checks, cli, combinat, solver
 from braidchow.graded import GradedSeries
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
@@ -418,6 +418,23 @@ def test_stdout_matches_pinned_digest(capsys, command):
     code, out = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]
+
+
+def test_table_builds_no_character_table(capsys, monkeypatch):
+    # the Schur expansion adds border strips to the solution's p-rows; the
+    # removal-rule character values are kept only as its oracle
+    def removal_route(*args):
+        raise AssertionError("table reached the removal-rule character values")
+
+    monkeypatch.setattr(characters, "character_table", removal_route)
+    monkeypatch.setattr(characters, "character_value", removal_route)
+    code, out = run_cli(capsys, "table", "--max-n", "8")
+    assert code == 0
+    # sha256 of the same command's stdout while it still used character tables
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "b34b1d2ffd7690dc1df321cfddf672f0afb4607fd5bcd4e66644d668d74172da"
+    )
 
 
 # -- argument fuzzing -----------------------------------------------------------------------
