@@ -10,51 +10,52 @@ The interesting objects live in:
   independent numerical route;
 - :mod:`braidchow.leveltrees` -- brute-force stratum sums over level trees;
 - :mod:`braidchow.cli` -- the command-line interface.
+
+The names below are loaded from their modules on first access, so importing
+one module of the package (say the data in :mod:`braidchow.reference`)
+compiles no other.
 """
 
-from .graded import GradedSeries
-from .partitions import Partition, partitions_of, z_lambda
-from .pointcounts import MSeries, m_component, m_series, necklace, twisted_count
-from .solver import (
-    equivariant_table,
-    euler_chars,
-    hnum_bell,
-    hnum_from_solver,
-    hnum_lattice,
-    hnum_stirling,
-    level_filtration,
-    solve_B,
-    solved_series,
-    verify_functional_equation,
-)
-from .symseries import PlethysmCache, SymSeries, frobenius_from_character, plethysm, psi, rk
-from .tpoly import TPoly
+from importlib import import_module
 
-__all__ = [
-    "GradedSeries",
-    "MSeries",
-    "Partition",
-    "PlethysmCache",
-    "SymSeries",
-    "TPoly",
-    "equivariant_table",
-    "euler_chars",
-    "frobenius_from_character",
-    "hnum_bell",
-    "hnum_from_solver",
-    "hnum_lattice",
-    "hnum_stirling",
-    "level_filtration",
-    "m_component",
-    "m_series",
-    "necklace",
-    "partitions_of",
-    "plethysm",
-    "psi",
-    "rk",
-    "solve_B",
-    "solved_series",
-    "twisted_count",
-    "verify_functional_equation",
-    "z_lambda",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "GradedSeries": "graded",
+    "Partition": "partitions",
+    "partitions_of": "partitions",
+    "z_lambda": "partitions",
+    "MSeries": "pointcounts",
+    "m_component": "pointcounts",
+    "m_series": "pointcounts",
+    "necklace": "pointcounts",
+    "twisted_count": "pointcounts",
+    "equivariant_table": "solver",
+    "euler_chars": "solver",
+    "hnum_bell": "solver",
+    "hnum_from_solver": "solver",
+    "hnum_lattice": "solver",
+    "hnum_stirling": "solver",
+    "level_filtration": "solver",
+    "solve_B": "solver",
+    "solved_series": "solver",
+    "verify_functional_equation": "solver",
+    "PlethysmCache": "symseries",
+    "SymSeries": "symseries",
+    "frobenius_from_character": "symseries",
+    "plethysm": "symseries",
+    "psi": "symseries",
+    "rk": "symseries",
+    "TPoly": "tpoly",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .partitions import Partition, partitions_of, z_lambda
-from .symseries import SymSeries
+from .symseries import SymSeries, _numerators
 from .tpoly import TPoly
 
 
@@ -145,16 +144,15 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if not f.is_homogeneous(n):
         raise ValueError(f"series is not homogeneous of degree {n}")
-    den = lcm(*(c.denominator for c in f.terms.values()))
+    den, rows = _numerators(f, n)
     width = f.t_degree() + 1
     # nodes[j]: partition nu of size j -> its Schur vector {lam: integer t-row}
     nodes: list[dict[Partition, dict[Partition, list[int]]]] = [{} for _ in range(n + 1)]
-    top = nodes[n]
-    for (mu, k), c in f.terms.items():
-        vec = top.get(mu)
-        if vec is None:
-            vec = top[mu] = {(): [0] * width}
-        vec[()][k] = c.numerator * (den // c.denominator)
+    for mu, row in rows.items():
+        padded = [0] * width
+        for k, v in row.items():
+            padded[k] = v
+        nodes[n][mu] = {(): padded}
     for j in range(n, 0, -1):
         for nu, vec in nodes[j].items():
             r = nu[-1]

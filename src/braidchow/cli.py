@@ -10,6 +10,9 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a verification or cross-route assertion
 fails, 2 on usage errors.  All numbers are emitted as exact strings.
+
+``checks`` and ``leveltrees`` are imported inside the commands that use them,
+so that ``table`` and ``numeric`` without the strata route do not load them.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ import json
 import os
 import sys
 
-from . import checks, serialize
+from . import serialize
 from .characters import schur_expand
-from .leveltrees import chain_count, epoly_Bn, level_tree_census
 from .pointcounts import m_series
 from .solver import (
     euler_chars,
@@ -121,6 +123,8 @@ def _numeric_tables(max_n: int, method: str) -> dict[str, dict]:
     if method in ("lattice", "all"):
         tables["lattice"] = hnum_lattice(max_n)
     if method in ("strata", "all"):
+        from .leveltrees import epoly_Bn
+
         tables["strata"] = {n: epoly_Bn(n) for n in range(2, max_n + 1)}
     return tables
 
@@ -173,6 +177,8 @@ def cmd_strata(args: argparse.Namespace, parser) -> int:
     if not 2 <= args.n <= STRATA_MAX_N:
         parser.error(f"strata enumeration supports 2 <= n <= {STRATA_MAX_N}")
     _check_output(args.output)
+    from .leveltrees import chain_count, epoly_Bn, level_tree_census
+
     census = level_tree_census(args.n)
     payload = {
         "n": args.n,
@@ -188,6 +194,8 @@ def cmd_strata(args: argparse.Namespace, parser) -> int:
 
 def cmd_verify(args: argparse.Namespace, parser) -> int:
     _check_max_n(args.max_n, parser)
+    from . import checks
+
     results = checks.run_all(args.max_n)
     failures = [(name, msg) for name, msg in results if msg is not None]
     if failures:

@@ -14,8 +14,9 @@ Partition = tuple[int, ...]
 
 
 def is_partition(parts) -> bool:
-    """True iff ``parts`` is a weakly decreasing tuple of positive ints."""
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
+    """True iff ``parts`` is a weakly decreasing tuple of positive ints (not
+    bools)."""
+    return all(type(p) is int and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 

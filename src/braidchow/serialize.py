@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .partitions import Partition, is_partition
-from .symseries import SymSeries
+from .symseries import SymSeries, check_exponent
 from .tpoly import TPoly, format_poly
 
 
@@ -50,10 +50,8 @@ def _exact(value, what: str) -> Fraction:
 
 def _partition(value, what: str) -> Partition:
     """A list of weakly decreasing positive ints (not bools) as a partition."""
-    if isinstance(value, list) and all(type(p) is int for p in value):
-        parts = tuple(value)
-        if is_partition(parts):
-            return parts
+    if isinstance(value, list) and is_partition(tuple(value)):
+        return tuple(value)
     raise ValueError(f"{what}: partition must be a list of weakly decreasing positive ints")
 
 
@@ -87,9 +85,7 @@ def series_from_obj(obj: dict, n_max: int | None = None) -> SymSeries:
         parts = _partition(parts, what)
         if sum(parts) > n_max:
             raise ValueError(f"{what}: partition sums past {n_max}")
-        if type(t) is not int or t < 0:  # rejects bools and floats too
-            raise ValueError(f"{what}: t must be a non-negative integer")
-        key = (parts, t)
+        key = (parts, check_exponent(t, what))
         terms[key] = terms.get(key, Fraction(0)) + _exact(coeff, what)
     return SymSeries(n_max, terms)
 

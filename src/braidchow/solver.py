@@ -15,7 +15,10 @@ series G is h_1, so the division is exact for every input series; a nonzero
 remainder signals a fault in the plethysm or the solver itself, and the
 division doubles as error detection for them.  The right-hand side is summed,
 and divided, as integer numerators over one common denominator per degree,
-and Fractions are made only for the returned components B_n.
+and Fractions are made only for the returned components B_n: the inner series
+G and every composed piece B_k o G stay in the integer form of
+``symseries`` (unpacked rows over a denominator), and the division runs on
+those unpacked rows.
 
 Alongside the solver this module carries every independent numerical route
 to the rank polynomials H_n^num: the Stirling-number recursion, the partial
@@ -47,19 +50,27 @@ from .tpoly import TPoly, T, T_MINUS_ONE
 
 
 def growth_series(M: GradedSeries) -> SymSeries:
-    """G = h_1 + (t - 1) M, the inner series of every composition here."""
-    return SymSeries.p(1, M.n_max) + M.total() * T_MINUS_ONE
+    """G = h_1 + (t - 1) M, the inner series of every composition here, in
+    integer form: p_1 in degree 1, and (t - 1) times the numerators of M_n
+    over their denominator in each degree n."""
+    form = {1: (1, {(1,): {0: 1}})} if M.n_max >= 1 else {}
+    for n in sorted(M.components):
+        den, rows = _numerators(M.components[n], n)
+        form[n] = (den, _times_tminus1(rows))
+    return SymSeries._from_int(M.n_max, form)
 
 
 def _times_tminus1(rows: Rows, lift: int = 1) -> Rows:
-    """(t - 1) times integer rows, each numerator also multiplied by lift."""
+    """(t - 1) times integer rows, each numerator also multiplied by lift;
+    entries that cancel are dropped, and no nonzero row becomes empty."""
     out: Rows = {}
     for parts, row in rows.items():
-        acc = out[parts] = {}
+        acc: dict[int, int] = {}
         for k, c in row.items():
             c *= lift
             acc[k + 1] = acc.get(k + 1, 0) + c
             acc[k] = acc.get(k, 0) - c
+        out[parts] = {k: c for k, c in acc.items() if c}
     return out
 
 
@@ -112,15 +123,17 @@ def solve_B(M: GradedSeries, n_max: int | None = None) -> GradedSeries:
     for n in range(2, n_max + 1):
         den_m, m_rows = _numerators(M.component(n), n_max)
         # each piece is read once; popping it frees it before the next plethysm
-        pieces = [by_deg.pop(n).terms for by_deg in composed if n in by_deg]
-        den = lcm(den_m, *(c.denominator for terms in pieces for c in terms.values()))
+        pieces = [_numerators(by_deg.pop(n), n_max) for by_deg in composed if n in by_deg]
+        den = lcm(den_m, *(den_p for den_p, _rows in pieces))
         rhs = _times_tminus1(m_rows, den // den_m)
-        for terms in pieces:
-            for (parts, k), c in terms.items():
+        for den_p, rows in pieces:
+            lift = den // den_p
+            for parts, row in rows.items():
                 acc = rhs.get(parts)
                 if acc is None:
                     acc = rhs[parts] = {}
-                acc[k] = acc.get(k, 0) + c.numerator * (den // c.denominator)
+                for k, v in row.items():
+                    acc[k] = acc.get(k, 0) + v * lift
         b_n = SymSeries._trusted(n_max, _fractions(_rows_over_tminus1(rhs, den), den))
         components[n] = b_n
         if n < n_max:

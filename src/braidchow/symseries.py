@@ -13,17 +13,31 @@ the Frobenius characteristic are diagonal there; complete homogeneous and
 Schur inputs are converted on construction.
 
 Fractions live at the edges only.  ``SymSeries.terms`` always maps to
-``Fraction``, and the public constructor validates every partition and
-exponent; results computed here are built through ``SymSeries._trusted``,
-which skips that re-validation.  Inside, products and plethysms run on plain
-integers: each operand is scaled to a common denominator (products of
-series), or each term of degree d is held as an integer multiple of 1/d!
-(``PlethysmCache``), so the inner loops neither divide nor reduce, and one
-``Fraction`` is built per output term.  The integer scalings are checked
-where they are made: a psi image that would not scale to an integer raises
-``ArithmeticError``.  ``_numerators`` and ``_fractions`` convert between a
-series and integer rows over one denominator; the solver uses them to sum
-its right-hand sides on integers.
+``Fraction``, and the public constructor validates every partition,
+exponent and coefficient (ints and Fractions only, no floats or bools);
+results computed here are built through ``SymSeries._trusted``, which skips
+that re-validation.  Inside, products and plethysms run on plain integers:
+each operand is scaled to a common denominator (products of series), or
+each term of degree d is held as an integer multiple of 1/d!
+(``PlethysmCache``), so the inner loops neither divide nor reduce.  The
+integer scalings are checked where they are made: a psi image that would not
+scale to an integer raises ``ArithmeticError``.
+
+A plethysm returns its result in integer form, degree -> (denominator,
+``Rows``) (``SymSeries._from_int``), and builds ``terms`` only when something
+reads them (``==``, ``+``, serialization).  ``by_degree`` splits that form and
+``_numerators`` reads it as it is, so the solver sums its right-hand sides
+on integers without a Fraction for any composed piece; ``_numerators`` and
+``_fractions`` convert a series in Fraction form.
+
+Inside ``PlethysmCache`` and ``plethysm`` every integer t-row is one Python
+int packed at a width W (Kronecker substitution, evaluation at t = 2^W), so
+a product of two rows is one bigint multiplication.  W is proved from l1
+norms: each table carries per degree a bound on the sum of its rows' l1
+norms, and each plethysm bounds its sums by the l1 norms of f's rows times
+those bounds.  W stays above every bound's bit length, so every coefficient
+unpacks as a balanced W-bit digit; a bound that does not fit widens the
+cache, and one past ``PlethysmCache.max_width`` raises ``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -42,23 +56,35 @@ def term_sort_key(term: Term):
     return (sum(parts), tuple(-p for p in parts), k)
 
 
+def check_exponent(k, what: str) -> int:
+    """A t-exponent: a non-negative int (not a bool, not a float)."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"{what}: t must be a non-negative integer")
+    return k
+
+
 class SymSeries:
     """Element of Q[t][p_1, p_2, ...] truncated at symmetric-function degree n_max."""
 
-    __slots__ = ("n_max", "terms")
+    # _int: None, or the integer form degree -> (denominator, Rows) of a
+    # computed result; terms is then built from it on first read
+    __slots__ = ("n_max", "terms", "_int")
 
     def __init__(self, n_max: int, terms: dict[Term, Fraction] | None = None):
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
         self.n_max = n_max
+        self._int = None
         clean: dict[Term, Fraction] = {}
         if terms:
             for (parts, k), c in terms.items():
+                what = f"term {parts!r} t^{k!r}"
+                check_exponent(k, what)
+                if type(c) is not int and not isinstance(c, Fraction):  # no bools, no floats
+                    raise ValueError(f"{what}: coefficient must be an int or a Fraction, got {c!r}")
                 c = Fraction(c)
                 if c == 0 or sum(parts) > n_max:
                     continue
-                if k < 0:
-                    raise ValueError("negative t-exponent")
                 clean[(check_partition(parts), k)] = c
         self.terms = clean
 
@@ -70,7 +96,29 @@ class SymSeries:
         s = object.__new__(cls)
         s.n_max = n_max
         s.terms = terms
+        s._int = None
         return s
+
+    @classmethod
+    def _from_int(cls, n_max: int, form: dict[int, tuple[int, Rows]]) -> "SymSeries":
+        """Wrap a computed result held as degree -> (D, rows): the terms of
+        degree d are rows' integer numerators over D.  Every partition of
+        degree d has size d <= n_max, and every row is nonempty and free of
+        zero entries.  No Fraction is built until ``terms`` is read."""
+        s = object.__new__(cls)
+        s.n_max = n_max
+        s._int = form
+        return s
+
+    def __getattr__(self, name):
+        # only reached for an unset slot: build terms from the integer form
+        if name != "terms" or self._int is None:
+            raise AttributeError(name)
+        terms: dict[Term, Fraction] = {}
+        for den, rows in self._int.values():
+            terms.update(_fractions(rows, den))
+        self.terms = terms
+        return terms
 
     # -- constructors ------------------------------------------------------
 
@@ -139,7 +187,10 @@ class SymSeries:
         )
 
     def by_degree(self) -> dict[int, "SymSeries"]:
-        """Every homogeneous part, keyed by degree, in one pass over the terms."""
+        """Every homogeneous part, keyed by degree, in one pass over the terms;
+        the parts of a series in integer form stay in integer form."""
+        if self._int is not None:
+            return {d: SymSeries._from_int(self.n_max, {d: part}) for d, part in self._int.items()}
         parts_by_deg: dict[int, dict[Term, Fraction]] = {}
         for tk, c in self.terms.items():
             d = sum(tk[0])
@@ -238,7 +289,21 @@ Rows = dict[Partition, dict[int, int]]
 
 def _numerators(s: SymSeries, n_max: int) -> tuple[int, Rows]:
     """(D, rows): the terms of s of degree <= n_max as integer numerators over
-    D, the lcm of their denominators; rows maps partition -> t-exponent -> N."""
+    D; rows maps partition -> t-exponent -> N.  For a series in integer form
+    D is the lcm of its degrees' denominators, and the rows of a single degree
+    are returned as they are held, not copied: read them, never change them.
+    Otherwise D is the lcm of the terms' denominators."""
+    if s._int is not None:
+        held = [part for d, part in s._int.items() if d <= n_max]
+        if len(held) == 1:
+            return held[0]
+        den = lcm(*(den_d for den_d, _rows in held))
+        rows: Rows = {}
+        for den_d, rows_d in held:
+            lift = den // den_d
+            for parts, row in rows_d.items():
+                rows[parts] = {e: v * lift for e, v in row.items()}
+        return den, rows
     rows: dict[Partition, dict[int, Fraction]] = {}
     for (parts, e), c in s.terms.items():
         if sum(parts) <= n_max:
@@ -296,13 +361,53 @@ def psi(k: int, f: SymSeries) -> SymSeries:
     )
 
 
-# An integer table: degree -> partition -> t-exponent -> integer numerator.
-IntTable = dict[int, Rows]
+# -- Kronecker-packed t-rows -------------------------------------------------
+
+
+def _pack(row: dict[int, int], width: int) -> int:
+    """The t-row sum c_k t^k evaluated at t = 2^width: coefficient k sits at
+    bit k * width.  Each |c_k| must be below 2^(width - 1), the range that
+    `_unpack` reads back; a coefficient outside it raises ArithmeticError."""
+    half = 1 << (width - 1)
+    x = 0
+    for k, c in row.items():
+        if not -half < c < half:
+            raise ArithmeticError(f"coefficient {c} of t^{k} does not fit a {width}-bit digit")
+        x += c << (k * width)
+    return x
+
+
+def _unpack(x: int, width: int) -> dict[int, int]:
+    """The nonzero coefficients of a packed t-row, read as balanced digits in
+    [-2^(width - 1), 2^(width - 1)): a digit at or above 2^(width - 1) is
+    negative and borrows one from the next.  Exact inverse of `_pack`."""
+    row = {}
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    k = 0
+    while x:
+        c = x & mask
+        x >>= width
+        if c >= half:
+            c -= mask + 1
+            x += 1
+        if c:
+            row[k] = c
+        k += 1
+    return row
+
+
+# An integer table: degree -> partition -> packed t-row.
+IntTable = dict[int, dict[Partition, int]]
+# Per degree of a table, a bound on the sum of the l1 norms of its t-rows.
+L1Bound = dict[int, int]
 
 
 def _int_product(a: IntTable, b: IntTable, n_max: int) -> IntTable:
     """Product of two tables held at scale d!: a degree-da piece times a
-    degree-db piece picks up C(da + db, da), and nothing is divided.  Entries
+    degree-db piece picks up C(da + db, da), and nothing is divided.  Each
+    pair of cells is one multiply-add of packed rows, exact whenever every
+    coefficient of the result fits the width (see `PlethysmCache`).  Cells
     that cancel to 0 stay in the table; plethysm drops them."""
     acc: IntTable = {}
     for da, by_pa in a.items():
@@ -312,18 +417,26 @@ def _int_product(a: IntTable, b: IntTable, n_max: int) -> IntTable:
                 continue
             binom = comb(d, da)
             acc_d = acc.setdefault(d, {})
+            get = acc_d.get
             for pa, ta in by_pa.items():
+                ta *= binom
                 for pb, tb in by_pb.items():
                     q = merge(pa, pb)
-                    out = acc_d.get(q)
-                    if out is None:
-                        out = acc_d[q] = {}
-                    for ka, na in ta.items():
-                        nab = na * binom
-                        for kb, nb in tb.items():
-                            k = ka + kb
-                            out[k] = out.get(k, 0) + nab * nb
+                    acc_d[q] = get(q, 0) + ta * tb
     return acc
+
+
+def _product_bound(a: L1Bound, b: L1Bound, n_max: int) -> L1Bound:
+    """The l1 bound of `_int_product`(a, b): every cell of degree d is a sum of
+    C(d, da) times products of a degree-da and a degree-db cell, and the l1
+    norm of a product of polynomials is at most the product of their norms."""
+    out: L1Bound = {}
+    for da, sa in a.items():
+        for db, sb in b.items():
+            d = da + db
+            if d <= n_max:
+                out[d] = out.get(d, 0) + comb(d, da) * sa * sb
+    return out
 
 
 class PlethysmCache:
@@ -338,42 +451,101 @@ class PlethysmCache:
     series with z_mu-type denominators, which divide |mu|!, as for every
     inner series the solver builds; psi_j maps degree |mu| to j*|mu|, and |mu|!
     divides (j*|mu|)!, so the same L serves every psi image.
+
+    Each t-row is one int packed at ``width`` W (`_pack`), so a row product is
+    one multiplication.  W is proved, not guessed: every table carries, per
+    degree, a bound on the sum of its rows' l1 norms (exact for psi images,
+    `_product_bound` for products), and W stays above the bit length of every
+    bound, so each coefficient is a balanced W-bit digit.  A table or a
+    plethysm whose bound does not fit widens the cache: W at least triples,
+    and every table is repacked in place.  (In the solver the last
+    plethysm's bound needs 2.0 to 2.5 times the bits of the first psi image,
+    n = 8..20, so a cache widens once after its first tables.)  A width past
+    ``max_width`` bits raises ArithmeticError instead.
     """
 
+    max_width = 1 << 16  # a packed row of k + 1 coefficients then takes (k + 1) * 8 KiB
+
     def __init__(self, g: SymSeries):
-        if g.coefficient((), 0) != 0:
+        # g's integer numerators by degree, d -> (D, rows)
+        self._g_rows = {d: _numerators(part, d) for d, part in g.by_degree().items()}
+        _den, rows_0 = self._g_rows.get(0, (1, {}))
+        if rows_0.get((), {}).get(0):
             raise ValueError("inner series of a plethysm must have no constant term")
         self.g = g
         self.scale = 1
-        for (parts, _k), c in g.terms.items():
-            den = c.denominator
-            self.scale = lcm(self.scale, den // gcd(den, factorial(sum(parts))))
+        for d, (den, rows) in self._g_rows.items():
+            fact = factorial(d)
+            for row in rows.values():
+                for v in row.values():
+                    # the least L making v / den * L * d! an integer
+                    self.scale = lcm(self.scale, den // gcd(den, v * fact))
+        self.width = 2
         self._psi: dict[int, IntTable] = {}
-        self._prod: dict[Partition, IntTable] = {(): {0: {(): {0: 1}}}}
+        self._psi_l1: dict[int, L1Bound] = {}
+        self._prod: dict[Partition, IntTable] = {(): {0: {(): 1}}}
+        self._prod_l1: dict[Partition, L1Bound] = {(): {0: 1}}
+
+    def fit(self, bound: int):
+        """Make every coefficient of absolute value <= bound a W-bit digit,
+        widening and repacking the tables if W is too narrow."""
+        need = bound.bit_length() + 1
+        if need <= self.width:
+            return
+        width = max(need, 3 * self.width)
+        if width > self.max_width:
+            raise ArithmeticError(
+                f"packed t-rows need {need} bits per coefficient, more than {self.max_width}"
+            )
+        for tables in (self._psi, self._prod):
+            for table in tables.values():
+                for by_q in table.values():
+                    for q, x in by_q.items():
+                        by_q[q] = _pack(_unpack(x, self.width), width)
+        self.width = width
 
     def psi_table(self, k: int) -> IntTable:
         """psi(k, g) at scale L * d!, truncated at g.n_max."""
         table = self._psi.get(k)
         if table is None:
-            table = self._psi[k] = {}
-            for (q, e), c in psi(k, self.g).terms.items():
-                d = sum(q)
-                n, rem = divmod(c.numerator * self.scale * factorial(d), c.denominator)
-                if rem:
-                    raise ArithmeticError(
-                        f"term {c} t^{e} p_{q} of psi_{k} of the inner series does not"
-                        f" scale to an integer: times {self.scale} * {d}!"
-                    )
-                table.setdefault(d, {}).setdefault(q, {})[e] = n
+            rows: dict[int, Rows] = {}
+            for d, (den, g_rows) in self._g_rows.items():
+                if k * d > self.g.n_max:
+                    continue
+                fact = factorial(k * d)
+                for parts, row in g_rows.items():
+                    q = tuple(k * p for p in parts)
+                    for e, v in row.items():
+                        # the term v / den t^(k e) p_q of psi(k, g)
+                        n, rem = divmod(v * self.scale * fact, den)
+                        if rem:
+                            raise ArithmeticError(
+                                f"term {Fraction(v, den)} t^{k * e} p_{q} of psi_{k} of the inner"
+                                f" series does not scale to an integer: times {self.scale} * {k * d}!"
+                            )
+                        rows.setdefault(k * d, {}).setdefault(q, {})[k * e] = n
+            l1 = {
+                d: sum(abs(n) for row in by_q.values() for n in row.values())
+                for d, by_q in rows.items()
+            }
+            self.fit(max(l1.values(), default=0))
+            self._psi_l1[k] = l1
+            table = self._psi[k] = {
+                d: {q: _pack(row, self.width) for q, row in by_q.items()}
+                for d, by_q in rows.items()
+            }
         return table
 
     def product(self, parts: Partition) -> IntTable:
         """prod_i psi(parts_i, g) at scale L^len(parts) * d!, truncated at g.n_max."""
         table = self._prod.get(parts)
         if table is None:
-            table = self._prod[parts] = _int_product(
-                self.product(parts[1:]), self.psi_table(parts[0]), self.g.n_max
-            )
+            rest = self.product(parts[1:])
+            head = self.psi_table(parts[0])
+            l1 = _product_bound(self._prod_l1[parts[1:]], self._psi_l1[parts[0]], self.g.n_max)
+            self.fit(max(l1.values(), default=0))  # repacks rest and head in place
+            self._prod_l1[parts] = l1
+            table = self._prod[parts] = _int_product(rest, head, self.g.n_max)
         return table
 
 
@@ -381,35 +553,48 @@ def plethysm(f: SymSeries, g: SymSeries, cache: PlethysmCache | None = None) -> 
     """Plethysm f o g: substitute p_k -> psi(k, g); t-powers of f are scalars.
 
     g must have no constant term.  The result is truncated at
-    min(f.n_max, g.n_max).  f's coefficients are brought to one denominator F,
-    the sums run over integers, and each output term of degree d is one
-    Fraction over F * L^l * d!, l the longest partition of f.
+    min(f.n_max, g.n_max) and comes in integer form: f's coefficients are
+    brought to one denominator F, each row of f is packed once and multiplied
+    into every cell of its product table, and each output cell is unpacked
+    once; the terms of degree d are integers over F * L^l * d!, l the longest
+    partition of f.  The cache is first widened to the l1 bound of the sums.
     """
     if cache is None or cache.g is not g:
         cache = PlethysmCache(g)
     n_max = min(f.n_max, g.n_max)
     den_f, rows = _numerators(f, n_max)
     longest = max(map(len, rows), default=0)
+    lifts = {parts: cache.scale ** (longest - len(parts)) for parts in rows}
+    tables = {parts: cache.product(parts) for parts in rows}
+    bound: L1Bound = {}
+    for parts, row in rows.items():
+        norm = sum(map(abs, row.values())) * lifts[parts]
+        for d, s in cache._prod_l1[parts].items():
+            if d <= n_max:
+                bound[d] = bound.get(d, 0) + norm * s
+    cache.fit(max(bound.values(), default=0))  # repacks the tables in place
+    width = cache.width
     acc: IntTable = {}
     for parts, row in rows.items():
-        lift = cache.scale ** (longest - len(parts))
-        weights = [(e, w * lift) for e, w in row.items()]
-        for d, by_q in cache.product(parts).items():
+        x = None
+        for d, by_q in tables[parts].items():
             if d > n_max:
                 continue
-            acc_d = acc.setdefault(d, {})
-            for q, tq in by_q.items():
-                out = acc_d.get(q)
-                if out is None:
-                    out = acc_d[q] = {}
-                for k, n in tq.items():
-                    for e, w in weights:
-                        ke = k + e
-                        out[ke] = out.get(ke, 0) + w * n
-    terms: dict[Term, Fraction] = {}
-    for d, by_q in acc.items():
-        terms.update(_fractions(by_q, den_f * cache.scale**longest * factorial(d)))
-    return SymSeries._trusted(n_max, terms)
+            if x is None:  # packed only if it meets a cell: only then does the bound cover it
+                x = _pack(row, width) * lifts[parts]
+            acc_d = acc.get(d)
+            if acc_d is None:
+                acc_d = acc[d] = {}
+            get = acc_d.get
+            for q, cell in by_q.items():
+                acc_d[q] = get(q, 0) + x * cell
+    form: dict[int, tuple[int, Rows]] = {}
+    for d in list(acc):
+        cells = acc.pop(d)  # freed degree by degree as it is unpacked
+        out = {q: _unpack(x, width) for q, x in cells.items() if x}
+        if out:
+            form[d] = (den_f * cache.scale**longest * factorial(d), out)
+    return SymSeries._from_int(n_max, form)
 
 
 # -- Frobenius characteristic and the rank specialization ------------------

@@ -2,13 +2,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from braidchow import characters, checks, cli, combinat, solver
+from braidchow import characters, checks, cli, combinat, leveltrees, solver
 from braidchow.graded import GradedSeries
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
@@ -147,13 +151,37 @@ def test_output_to_unwritable_path_is_usage_error(tmp_path, capsys, monkeypatch,
         pytest.fail("computed before checking --output")
 
     monkeypatch.setattr(cli, "solve_B", compute)
-    monkeypatch.setattr(cli, "level_tree_census", compute)
+    monkeypatch.setattr(leveltrees, "level_tree_census", compute)
     target = tmp_path / "missing" / "out.json" if unwritable == "missing directory" else tmp_path
     with pytest.raises(SystemExit) as exc:
         cli.main([*args, "--output", str(target)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(target) in err
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [
+        # the commands that need them import checks and leveltrees
+        ("braidchow.cli", {"braidchow.checks", "braidchow.leveltrees", "braidchow.reference"}),
+        # the package loads its exported names on first access
+        ("braidchow.reference", {"braidchow.symseries", "braidchow.solver", "braidchow.tpoly"}),
+    ],
+)
+def test_an_import_loads_no_module_it_does_not_use(module, absent):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(' '.join(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert module in loaded and not loaded & absent
 
 
 def test_output_check_neither_creates_nor_truncates(tmp_path):
@@ -335,7 +363,7 @@ def test_verify_reports_a_kernel_error_and_runs_on(capsys, monkeypatch):
     class CorruptedCache(PlethysmCache):
         def __init__(self, g):
             super().__init__(g)
-            self.psi_table(1)[2][(2,)][0] += 1
+            self.psi_table(1)[2][(2,)] += 1  # packed: bit 0 holds the t^0 coefficient
 
     monkeypatch.setattr(solver, "PlethysmCache", CorruptedCache)
     solver.solved_series.cache_clear()

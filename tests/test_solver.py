@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -10,6 +12,7 @@ from braidchow.combinat import omega_shifted, set_partitions
 from braidchow.graded import GradedSeries
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
+from braidchow.serialize import series_to_obj
 from braidchow.solver import (
     equivariant_table,
     euler_chars,
@@ -158,11 +161,36 @@ def test_solve_on_a_corrupted_kernel_raises_on_the_tminus1_division(monkeypatch)
     class CorruptedCache(PlethysmCache):
         def __init__(self, g):
             super().__init__(g)
-            self.psi_table(1)[2][(2,)][0] += 1
+            self.psi_table(1)[2][(2,)] += 1  # packed: bit 0 holds the t^0 coefficient
 
     monkeypatch.setattr(solver, "PlethysmCache", CorruptedCache)
     with pytest.raises(ValueError, match=r"nonzero remainder .* p_\(2, 1\) \(degree 3\)"):
         solve_B(m_series(5))
+
+
+def test_growth_series_on_integers_matches_the_fraction_route(M8):
+    assert growth_series(M8) == SymSeries.p(1, 8) + M8.total() * T_MINUS_ONE
+
+
+def test_solve_builds_no_fraction_for_a_composed_piece(monkeypatch):
+    """Every B_k o G goes from plethysm to the right-hand side as integer
+    rows: no series in integer form has its Fraction terms built."""
+
+    def no_terms(self, name):
+        if name == "terms":
+            raise AssertionError("the terms of a series in integer form were built")
+        raise AttributeError(name)
+
+    monkeypatch.setattr(SymSeries, "__getattr__", no_terms)
+    B = solve_B(m_series(12))
+    monkeypatch.undo()
+    text = json.dumps([series_to_obj(n, B.component(n)) for n in range(2, 13)], indent=2)
+    # the stdout of `table --max-n 12 --basis p` without its final newline,
+    # taken while the composed pieces still went through Fractions
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "adac0a6fb0da48f886cf6615d99781e709d6210be721f6e0a7a251537ef2e973"
+    )
 
 
 def test_tminus1_division_is_exact_or_loud():

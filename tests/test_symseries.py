@@ -1,15 +1,20 @@
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from braidchow.partitions import partitions_of
 from braidchow.symseries import (
     PlethysmCache,
     SymSeries,
+    _fractions,
+    _numerators,
+    _pack,
+    _unpack,
     frobenius_from_character,
     plethysm,
     psi,
@@ -28,6 +33,30 @@ def P(parts, n_max=None, t=0):
 
 
 # -- ring operations ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "key, coeff",
+    [
+        (((2,), 0), 0.1),
+        (((2,), 0), True),
+        (((2,), 0), "1/2"),
+        (((2,), 1.5), 1),
+        (((2,), True), 1),
+        (((2,), 2.0), 1),
+        (((2,), -1), 1),
+    ],
+    ids=repr,
+)
+def test_constructor_rejects_inexact_coefficients_and_exponents(key, coeff):
+    parts, k = key
+    with pytest.raises(ValueError, match=re.escape(f"term {parts!r} t^{k!r}")):
+        SymSeries(2, {key: coeff})
+
+
+def test_constructor_rejects_a_partition_of_bools():
+    with pytest.raises(ValueError, match=re.escape("not a partition: (True,)")):
+        SymSeries(2, {((True,), 0): 1})
 
 
 def test_monomial_product_concatenates():
@@ -294,6 +323,68 @@ def test_plethysm_rejects_an_inexact_psi_scaling():
     cache.scale = 1  # too small for 1/7 p_1, so the scaled term is not an integer
     with pytest.raises(ArithmeticError, match="does not scale to an integer"):
         cache.psi_table(1)
+
+
+# -- Kronecker-packed t-rows ---------------------------------------------------------
+
+
+def signed_rows(width):
+    """t-rows whose coefficients are balanced width-bit digits, the extreme
+    ones +-(2^(width - 1) - 1) drawn often."""
+    top = (1 << (width - 1)) - 1
+    digit = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 1, -1]))
+    return st.dictionaries(st.integers(min_value=0, max_value=12), digit, max_size=8)
+
+
+@given(st.integers(min_value=2, max_value=80).flatmap(lambda w: st.tuples(st.just(w), signed_rows(w))))
+@example((2, {0: 1, 1: -1}))
+@example((8, {0: 127, 5: -127}))  # a negative total
+@example((8, {3: -1}))
+def test_pack_unpack_round_trip(case):
+    width, row = case
+    x = _pack(row, width)
+    assert x == sum(c * 2 ** (k * width) for k, c in row.items())
+    assert _unpack(x, width) == {k: c for k, c in row.items() if c}
+
+
+def test_a_width_too_narrow_raises():
+    for c in (128, -128):
+        with pytest.raises(ArithmeticError, match="does not fit a 8-bit digit"):
+            _pack({2: c}, 8)
+    g = SymSeries(6, {((1,), 0): Fraction(1, 7), ((2,), 1): Fraction(-3, 4)})
+    cache = PlethysmCache(g)
+    cache.max_width = cache.width = 8
+    f = SymSeries(6, {((2, 1), 1): Fraction(10**40, 3)})
+    with pytest.raises(ArithmeticError, match="more than 8"):
+        plethysm(f, g, cache)
+
+
+def test_a_plethysm_that_widens_the_cache_matches_the_reference():
+    g = SymSeries(
+        6, {((1,), 0): Fraction(1, 7), ((2,), 1): Fraction(-3, 4), ((), 1): Fraction(1, 2)}
+    )
+    cache = PlethysmCache(g)
+    small = SymSeries.h(3, 6) + P((1, 1), 6, t=1)
+    assert plethysm(small, g, cache).terms == reference_plethysm(small, g)
+    width = cache.width
+    big = SymSeries(
+        6,
+        {((2, 1), 1): Fraction(10**40, 3), ((3,), 0): -(10**30), ((1, 1), 2): Fraction(5, 9)},
+    )
+    assert plethysm(big, g, cache).terms == reference_plethysm(big, g)
+    assert cache.width > width
+    # the tables repacked at the new width still give the old result
+    assert plethysm(small, g, cache).terms == reference_plethysm(small, g)
+
+
+@given(series(n_max=6, max_terms=4), inner_series(n_max=6))
+@settings(max_examples=25)
+def test_integer_form_splits_and_reads_like_its_terms(f, g):
+    s = plethysm(f, g)
+    for n_max in (6, 3):
+        den, rows = _numerators(s, n_max)
+        assert _fractions(rows, den) == {tk: c for tk, c in s.terms.items() if sum(tk[0]) <= n_max}
+    assert s.by_degree() == {n: s.homogeneous_part(n) for n in s.degrees()}
 
 
 def test_plethysm_right_identity():
