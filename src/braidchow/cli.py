@@ -38,7 +38,7 @@ from .solver import (
 METHODS = ("solve", "stirling", "bell", "lattice", "strata", "all")
 MAX_N = 12  # the --max-n cap
 # strata --n: its chain_count walks the set-partition lattice; strata --n 8
-# takes about 0.5 s, and n = 9 would take about 4 s
+# takes about 0.4 s, and n = 9 would take about 2.5 s
 STRATA_MAX_N = 8
 
 

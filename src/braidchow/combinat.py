@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
 
 from .partitions import multiplicities, partitions_of
@@ -99,30 +98,46 @@ def stirling_bell_identity_check(n: int, k: int) -> bool:
     return lhs == TPoly(rhs_coeffs)
 
 
+# set_partitions grows this many last elements from each prefix partition
+_TAIL = 3
+
+
+def _grow(level: list, x) -> list:
+    # every partition of the level, with x added to each block in turn or as a
+    # new last block; x exceeds every element so far, so blocks stay sorted
+    # and ordered by their smallest element
+    single = ((x,),)
+    grown = [p[:i] + (b + (x,),) + p[i + 1 :] for p in level for i, b in enumerate(p)]
+    grown += [p + single for p in level]
+    return grown
+
+
 def set_partitions(elements):
     """All set partitions of ``elements`` (each a tuple of disjoint tuples).
 
     Blocks and the elements inside them come out sorted, blocks ordered by
-    their smallest element.  This is the one set-partition walk of the
-    package: ``solver.hnum_lattice`` tallies its partitions by block shape,
+    their smallest element, and each partition exactly once.  The walk goes
+    level by level: the partitions of the first j sorted elements grow into
+    those of the first j + 1, the new element joining each block in turn or
+    opening a new block.  Only the partitions of all but the last three
+    elements are held as a list (Bell(9) = 21,147 of them for 12 elements);
+    the last three are grown from one of those prefixes at a time, so the
+    whole last level is never held at once.
+
+    This is the one set-partition walk of the package:
+    ``solver.hnum_lattice`` tallies its partitions by block shape,
     ``leveltrees.enumerate_level_trees`` grafts the smaller trees onto them,
     and ``leveltrees.chain_counts_by_length`` lists the partition lattice
     whose chains the census counts.  The last two rely on the block order.
     """
     elements = sorted(elements)
-
-    def gen(remaining):
-        if not remaining:
-            yield ()
-            return
-        first, rest = remaining[0], remaining[1:]
-        # the block containing the smallest element determines the recursion
-        for extra in range(len(rest) + 1):
-            for chosen in combinations(rest, extra):
-                chosen_set = set(chosen)
-                left = [x for x in rest if x not in chosen_set]
-                block = (first, *chosen)
-                for others in gen(left):
-                    yield (block, *others)
-
-    yield from gen(elements)
+    split = max(len(elements) - _TAIL, 0)
+    prefixes = [()]
+    for x in elements[:split]:
+        prefixes = _grow(prefixes, x)
+    tail = elements[split:]
+    for prefix in prefixes:
+        level = [prefix]
+        for x in tail:
+            level = _grow(level, x)
+        yield from level
