@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .partitions import Partition, partitions_of, z_lambda
 from .symseries import SymSeries, _numerators
-from .tpoly import TPoly
+from .tpoly import TPoly, ratio
 
 
 @lru_cache(maxsize=None)
@@ -137,8 +137,9 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
     the Schur vector {(): row}.  For j = n down to 1, every node nu of size j
     multiplies its vector by p_r, r = nu[-1], through `_add_strips`, and adds
     the result into the node nu[:-1]; the root () then holds
-    p_mu = sum_lam chi^lam(mu) s_lam summed over f.  One Fraction is built
-    per output coefficient.
+    p_mu = sum_lam chi^lam(mu) s_lam summed over f.  Each output coefficient
+    is its row entry over the denominator: an int where that divides exactly,
+    so an integral table builds no Fraction.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
@@ -172,7 +173,7 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
     for lam in partitions_of(n):
         acc = root.get(lam)
         if acc is not None and any(acc):
-            out[lam] = TPoly([Fraction(v, den) for v in acc])
+            out[lam] = TPoly([ratio(v, den) for v in acc])
     return out
 
 

@@ -9,7 +9,6 @@ of polynomial arguments.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -77,11 +76,15 @@ def bell_partial(n: int, k: int, xs) -> TPoly:
     for parts in partitions_of(n):
         if len(parts) != k:
             continue
-        coeff = Fraction(factorial(n))
+        # the multinomial n! / prod(i!^m * m!), checked exact
+        den = 1
         term = TPoly.const(1)
         for i, m in multiplicities(parts).items():
-            coeff /= Fraction(factorial(i) ** m * factorial(m))
+            den *= factorial(i) ** m * factorial(m)
             term = term * xs[i - 1] ** m
+        coeff, rem = divmod(factorial(n), den)
+        if rem:
+            raise ArithmeticError(f"{n}! is not a multiple of {den} for the parts {parts}")
         total = total + term * coeff
     return total
 

@@ -14,14 +14,15 @@ Schur inputs are converted on construction.
 
 Fractions live at the edges only.  ``SymSeries.terms`` always maps to
 ``Fraction``, and the public constructor validates every partition,
-exponent and coefficient (ints and Fractions only, no floats or bools);
-results computed here are built through ``SymSeries._trusted``, which skips
-that re-validation.  Inside, products and plethysms run on plain integers:
-each operand is scaled to a common denominator (products of series), or
-each term of degree d is held as an integer multiple of 1/d!
-(``PlethysmCache``), so the inner loops neither divide nor reduce.  The
-integer scalings are checked where they are made: a psi image that would not
-scale to an integer raises ``ArithmeticError``.
+exponent and coefficient (coefficients by ``tpoly.exact``: ints and
+Fractions only, no floats, bools or strings); results computed here are
+built through ``SymSeries._trusted``, which skips that re-validation.
+Inside, products and plethysms run on plain integers: each operand is
+scaled to a common denominator (products of series), or each term of
+degree d is held as an integer multiple of 1/d! (``PlethysmCache``), so
+the inner loops neither divide nor reduce.  The integer scalings are
+checked where they are made: a psi image that would not scale to an
+integer raises ``ArithmeticError``.
 
 A plethysm returns its result in integer form, degree -> (denominator,
 ``Rows``) (``SymSeries._from_int``), and builds ``terms`` only when something
@@ -46,7 +47,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from .partitions import Partition, check_partition, merge, partitions_of, z_lambda
-from .tpoly import TPoly
+from .tpoly import TPoly, exact
 
 Term = tuple[Partition, int]
 
@@ -80,9 +81,7 @@ class SymSeries:
             for (parts, k), c in terms.items():
                 what = f"term {parts!r} t^{k!r}"
                 check_exponent(k, what)
-                if type(c) is not int and not isinstance(c, Fraction):  # no bools, no floats
-                    raise ValueError(f"{what}: coefficient must be an int or a Fraction, got {c!r}")
-                c = Fraction(c)
+                c = Fraction(exact(c, f"{what}: coefficient"))
                 if c == 0 or sum(parts) > n_max:
                     continue
                 clean[(check_partition(parts), k)] = c
@@ -178,7 +177,7 @@ class SymSeries:
                 coeffs[k] = c
         if not coeffs:
             return TPoly()
-        return TPoly([coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1)])
+        return TPoly([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
 
     def homogeneous_part(self, n: int) -> "SymSeries":
         """Terms of symmetric-function degree exactly n (keeps n_max)."""
@@ -223,7 +222,7 @@ class SymSeries:
 
     def __add__(self, other) -> "SymSeries":
         if isinstance(other, (int, Fraction)):
-            other = SymSeries(self.n_max, {((), 0): Fraction(other)})
+            other = SymSeries(self.n_max, {((), 0): other})
         if not isinstance(other, SymSeries):
             return NotImplemented
         n_max = min(self.n_max, other.n_max)
@@ -244,11 +243,11 @@ class SymSeries:
         return SymSeries._trusted(self.n_max, {tk: -c for tk, c in self.terms.items()})
 
     def __sub__(self, other) -> "SymSeries":
-        return self + (-other if isinstance(other, SymSeries) else -Fraction(other))
+        return self + (-other if isinstance(other, SymSeries) else -exact(other, "scalar"))
 
     def __mul__(self, other) -> "SymSeries":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+            other = exact(other, "scalar")
             if not other:
                 return SymSeries.zero(self.n_max)
             return SymSeries._trusted(self.n_max, {tk: c * other for tk, c in self.terms.items()})
@@ -616,7 +615,7 @@ def frobenius_from_character(n: int, char: dict[Partition, TPoly | int | Fractio
         z = z_lambda(lam)
         for k, c in enumerate(val.coeffs):
             if c:
-                acc[(lam, k)] = c / z
+                acc[(lam, k)] = Fraction(c, z)
     return SymSeries._trusted(n, acc)
 
 
@@ -635,7 +634,7 @@ def rk(f: SymSeries) -> dict[int, TPoly]:
     out: dict[int, TPoly] = {}
     for n, coeffs in by_n.items():
         fact = factorial(n)
-        poly = TPoly([coeffs.get(i, Fraction(0)) * fact for i in range(max(coeffs) + 1)])
+        poly = TPoly([coeffs.get(i, 0) * fact for i in range(max(coeffs) + 1)])
         if poly:
             out[n] = poly
     return out

@@ -1,21 +1,45 @@
 """Dense univariate polynomials with exact rational coefficients.
 
 Used both for the Chow variable t and for the counting variable q (the two
-are identified throughout).  Coefficients are ``fractions.Fraction``; there
-is no floating point anywhere.  Instances are immutable: coefficients live
-in a tuple with the trailing zeros stripped, so equality and hashing are
-structural.
+are identified throughout).  A coefficient is held as a Python ``int`` when
+it is integral and as a ``fractions.Fraction`` with denominator > 1
+otherwise, so the integer polynomials -- Poincaré polynomials, Schur
+coefficients, stratum sums -- never build a Fraction.  There is no floating
+point anywhere: ``exact`` is the one rule that admits a scalar (an int or a
+Fraction, never a bool, float or string), and ``symseries`` applies it too.
+Instances are immutable: coefficients live in a tuple with the trailing
+zeros stripped, so equality and hashing are structural.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Number
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
 
-def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def exact(c, what: str = "coefficient") -> Scalar:
+    """``c`` in normal form: an int as it is, a Fraction with denominator 1 as
+    its numerator, any other Fraction as it is.  Anything else (a bool, a
+    float, a string, ...) raises ValueError naming ``what`` and the value."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise ValueError(f"{what} must be an int or a Fraction, got {c!r}")
+
+
+def ratio(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly, in normal form: an int when b divides a.  b is nonzero."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return exact(Fraction(a, b))
+
+
+def _strip(coeffs: list) -> tuple[Scalar, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -27,7 +51,7 @@ class TPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self.coeffs = _strip([Fraction(c) for c in coeffs])
+        self.coeffs = _strip([c if type(c) is int else exact(c) for c in coeffs])
 
     @classmethod
     def const(cls, c: Scalar) -> "TPoly":
@@ -41,15 +65,16 @@ class TPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> Scalar:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = TPoly.const(other)
-        return isinstance(other, TPoly) and self.coeffs == other.coeffs
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -58,8 +83,13 @@ class TPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly([self[i] + other[i] for i in range(n)])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return TPoly(out)
 
     __radd__ = __add__
 
@@ -79,17 +109,17 @@ class TPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "TPoly":
-        if isinstance(other, (int, Fraction)):
-            return TPoly([c * other for c in self.coeffs])
-        if not isinstance(other, TPoly):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return TPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
         return TPoly(out)
 
     __rmul__ = __mul__
@@ -113,9 +143,9 @@ class TPoly:
         rem = list(self.coeffs)
         dd = divisor.degree
         lead = divisor.coeffs[-1]
-        q = [Fraction(0)] * max(len(rem) - dd, 0)
+        q = [0] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] / lead
+            c = ratio(rem[i], lead)
             if c:
                 q[i - dd] = c
                 for j, b in enumerate(divisor.coeffs):
@@ -133,14 +163,16 @@ class TPoly:
         """Substitute ``inner`` for the variable (Horner)."""
         result = TPoly()
         for c in reversed(self.coeffs):
-            result = result * inner + TPoly.const(c)
+            result = result * inner + c
         return result
 
-    def eval(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
+    def eval(self, x: Scalar) -> Scalar:
+        """The value at the exact scalar x, in normal form (see ``exact``)."""
+        x = exact(x, "evaluation point")
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return exact(acc)
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -160,7 +192,7 @@ class TPoly:
         return i + 1 >= len(c)
 
     def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def __repr__(self) -> str:
         return f"TPoly({format_poly(self)})"
@@ -170,10 +202,14 @@ class TPoly:
 
 
 def _coerce(x) -> "TPoly | None":
+    """The operand x as a TPoly: a TPoly as it is, an exact scalar as a
+    constant.  A number or string that is not exact raises ValueError (see
+    ``exact``); None for any other object, which may take the reflected
+    operation itself."""
     if isinstance(x, TPoly):
         return x
-    if isinstance(x, (int, Fraction)):
-        return TPoly.const(x)
+    if type(x) is int or isinstance(x, (Number, str, bytes)):
+        return TPoly((exact(x, "scalar"),))
     return None
 
 

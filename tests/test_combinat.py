@@ -121,6 +121,24 @@ def test_bell_matches_set_partition_oracle(n):
         assert bell_partial(n, k, xs) == bell_by_set_partitions(n, k, xs)
 
 
+def test_bell_multinomials_are_ints():
+    # Bell_{n,k}(1, 1, ...) = S(n, k), a sum of the bare multinomials
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            poly = bell_partial(n, k, [1] * n)
+            assert poly.coeffs == (stirling_second(n, k),)
+            assert type(poly.coeffs[0]) is int
+
+
+def test_bell_multinomial_division_is_checked(monkeypatch):
+    import braidchow.combinat as combinat
+
+    # claim the parts of (1, 1, 1) as two 2s: 3! is no multiple of 2!^2 * 2!
+    monkeypatch.setattr(combinat, "multiplicities", lambda parts: {2: 2})
+    with pytest.raises(ArithmeticError, match="3! is not a multiple of 8"):
+        bell_partial(3, 3, [1, 1, 1])
+
+
 def test_bell_insufficient_arguments():
     with pytest.raises(ValueError):
         bell_partial(5, 2, [TPoly.const(1)])

@@ -104,6 +104,20 @@ def test_schur_coefficients_palindromic(B8):
             assert coeffs == coeffs[::-1], (n, lam)
 
 
+def test_equivariant_poincare_duality_and_hard_lefschetz_through_12():
+    """Every Schur coefficient of B_n, n = 2..12, reads the same at t^i and
+    t^(n-2-i) (equivariant Poincaré duality) and is unimodal (equivariant hard
+    Lefschetz)."""
+    B = solve_B(m_series(12))
+    for n in range(2, 13):
+        table = schur_expand(B.component(n), n)
+        assert table, n
+        for lam, poly in table.items():
+            assert poly.degree <= n - 2, (n, lam)
+            assert all(poly[i] == poly[n - 2 - i] for i in range(n - 1)), (n, lam)
+            assert poly.is_unimodal(), (n, lam)
+
+
 # -- the functional equation ----------------------------------------------------
 
 
