@@ -20,7 +20,6 @@ route stays as the independent oracle for it (`checks`, tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -90,10 +89,21 @@ def character_value(lam: Partition, mu: Partition) -> int:
     return _character_value(lam, mu)
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    n: int
-    values: dict[tuple[Partition, Partition], int]
+    """The integer character table of S_n, values[(lam, mu)] = chi^lam(mu).
+    Immutable: ``character_table`` hands the same instance to every caller."""
+
+    __slots__ = ("n", "values")
+
+    def __init__(self, n: int, values: dict[tuple[Partition, Partition], int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def chi(self, lam: Partition, mu: Partition) -> int:
         return self.values[(lam, mu)]

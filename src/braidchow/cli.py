@@ -9,10 +9,15 @@ Subcommands:
 - ``verify``   run the full self-verification suite
 
 Exit codes: 0 on success, 1 when a verification or cross-route assertion
-fails, 2 on usage errors.  All numbers are emitted as exact strings.
+fails, 2 on usage errors and on output that cannot be written.  All numbers
+are emitted as exact strings.
 
-``checks`` and ``leveltrees`` are imported inside the commands that use them,
-so that ``table`` and ``numeric`` without the strata route do not load them.
+Each command imports the modules it computes with inside its own body; at
+module level this file loads only the standard library and ``serialize``.
+So ``--help`` and ``strata`` compile no solver, and ``numeric --method
+lattice`` no Schur expansion.  Names are bound by a plain ``from ... import``
+at call time, never cached here, so a rebinding of ``solver.solve_B`` and
+the like takes effect.
 """
 
 from __future__ import annotations
@@ -24,16 +29,6 @@ import os
 import sys
 
 from . import serialize
-from .characters import schur_expand
-from .pointcounts import m_series
-from .solver import (
-    euler_chars,
-    hnum_bell,
-    hnum_from_solver,
-    hnum_lattice,
-    hnum_stirling,
-    solve_B,
-)
 
 METHODS = ("solve", "stirling", "bell", "lattice", "strata", "all")
 MAX_N = 12  # the --max-n cap
@@ -70,6 +65,22 @@ def _check_output(output: str | None):
     _output_error(output, os.strerror(err))
 
 
+def _write_stdout(text: str):
+    """The one place stdout is written.  A failed write (a full disk, a
+    closed pipe) is an error of the environment, not a failed verification:
+    exit 2 with one line on stderr."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stderr.write(f"braidchow: error: cannot write stdout: {exc.strerror or exc}\n")
+        raise SystemExit(2)
+
+
+def _print(line: str):
+    _write_stdout(line + "\n")
+
+
 def _emit(text: str, output: str | None):
     if output:
         try:
@@ -78,9 +89,7 @@ def _emit(text: str, output: str | None):
         except OSError as exc:
             _output_error(output, exc.strerror)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        _write_stdout(text if text.endswith("\n") else text + "\n")
 
 
 def _json(obj) -> str:
@@ -92,6 +101,9 @@ def cmd_table(args: argparse.Namespace, parser) -> int:
     if args.basis == "p" and args.format == "latex":
         parser.error("latex output is only available in the schur basis")
     _check_output(args.output)
+    from .pointcounts import m_series
+    from .solver import solve_B
+
     B = solve_B(m_series(args.max_n))
     if args.basis == "p":
         components = {n: B.component(n) for n in range(2, args.max_n + 1)}
@@ -101,6 +113,8 @@ def cmd_table(args: argparse.Namespace, parser) -> int:
         else:
             _emit(serialize.series_csv(components), args.output)
         return 0
+    from .characters import schur_expand
+
     tables = {n: schur_expand(B.component(n), n) for n in range(2, args.max_n + 1)}
     if args.format == "json":
         payload = [serialize.schur_table_to_obj(n, tables[n]) for n in sorted(tables)]
@@ -113,6 +127,9 @@ def cmd_table(args: argparse.Namespace, parser) -> int:
 
 
 def _numeric_tables(max_n: int, method: str) -> dict[str, dict]:
+    from .pointcounts import m_series
+    from .solver import hnum_bell, hnum_from_solver, hnum_lattice, hnum_stirling, solve_B
+
     tables = {}
     if method in ("solve", "all"):
         tables["solve"] = hnum_from_solver(solve_B(m_series(max_n)))
@@ -132,6 +149,8 @@ def _numeric_tables(max_n: int, method: str) -> dict[str, dict]:
 def cmd_numeric(args: argparse.Namespace, parser) -> int:
     _check_max_n(args.max_n, parser)
     _check_output(args.output)
+    from .solver import euler_chars
+
     tables = _numeric_tables(args.max_n, args.method)
     chi = euler_chars(args.max_n)
     mismatches = []
@@ -163,6 +182,8 @@ def cmd_numeric(args: argparse.Namespace, parser) -> int:
 def cmd_m_series(args: argparse.Namespace, parser) -> int:
     _check_max_n(args.max_n, parser)
     _check_output(args.output)
+    from .pointcounts import m_series
+
     M = m_series(args.max_n)
     components = {n: M.component(n) for n in range(2, args.max_n + 1)}
     if args.format == "csv":
@@ -196,13 +217,13 @@ def cmd_verify(args: argparse.Namespace, parser) -> int:
     _check_max_n(args.max_n, parser)
     from . import checks
 
-    results = checks.run_all(args.max_n)
+    results = checks.run_all(args.max_n, report=_print)
     failures = [(name, msg) for name, msg in results if msg is not None]
     if failures:
         name, msg = failures[0]
-        print(f"verification failed: {name}: {msg}")
+        _print(f"verification failed: {name}: {msg}")
         return 1
-    print(f"all {len(results)} checks passed (max_n = {args.max_n})")
+    _print(f"all {len(results)} checks passed (max_n = {args.max_n})")
     return 0
 
 

@@ -35,7 +35,6 @@ oracle for the rank polynomials.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -84,14 +83,32 @@ def _walk(n: int, smaller: dict):
             yield _graft(node, blocks, levels), levels + 1
 
 
-@dataclass(frozen=True)
 class LevelTree:
-    """Canonical immutable level tree; validated on construction."""
+    """Canonical immutable level tree; validated on construction.  Equality,
+    hashing and repr go by the root node alone."""
 
-    root: Node
+    __slots__ = ("root",)
 
-    def __post_init__(self):
+    def __init__(self, root: Node):
+        object.__setattr__(self, "root", root)
         self.validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.root == other.root
+
+    def __hash__(self):
+        return hash((self.root,))
+
+    def __repr__(self):
+        return f"LevelTree(root={self.root!r})"
 
     # -- structure ----------------------------------------------------------
 

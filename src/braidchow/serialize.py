@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .partitions import Partition, is_partition
-from .symseries import SymSeries, check_exponent
-from .tpoly import TPoly, format_poly
+from .tpoly import TPoly, check_exponent, format_poly
+
+if TYPE_CHECKING:
+    from .symseries import SymSeries
 
 
 def _schur_row_order(lam: Partition):
@@ -72,6 +75,8 @@ def _degree(value, what: str) -> int:
 def series_from_obj(obj: dict, n_max: int | None = None) -> SymSeries:
     """Inverse of ``series_to_obj``; duplicate terms are summed.  Every
     malformed record raises ValueError naming it."""
+    from .symseries import SymSeries
+
     (records,) = _record(obj, ("terms",), "series record")
     if n_max is None:
         (n_max,) = _record(obj, ("n",), "series record")

@@ -34,7 +34,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial, lcm
 
-from .characters import schur_expand
 from .combinat import (
     bell_partial,
     omega_shifted,
@@ -191,6 +190,8 @@ def solved_series(n_max: int) -> GradedSeries:
 
 def equivariant_table(n: int, B: GradedSeries | None = None) -> dict[Partition, TPoly]:
     """Schur coefficients of the degree-n solution component."""
+    from .characters import schur_expand
+
     if n < 2:
         raise ValueError("the table starts at n = 2")
     if B is None:

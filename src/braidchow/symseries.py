@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from .partitions import Partition, check_partition, merge, partitions_of, z_lambda
-from .tpoly import TPoly, exact
+from .tpoly import TPoly, check_exponent, exact
 
 Term = tuple[Partition, int]
 
@@ -55,13 +55,6 @@ Term = tuple[Partition, int]
 def term_sort_key(term: Term):
     parts, k = term
     return (sum(parts), tuple(-p for p in parts), k)
-
-
-def check_exponent(k, what: str) -> int:
-    """A t-exponent: a non-negative int (not a bool, not a float)."""
-    if type(k) is not int or k < 0:
-        raise ValueError(f"{what}: t must be a non-negative integer")
-    return k
 
 
 class SymSeries:

@@ -6,7 +6,8 @@ it is integral and as a ``fractions.Fraction`` with denominator > 1
 otherwise, so the integer polynomials -- Poincaré polynomials, Schur
 coefficients, stratum sums -- never build a Fraction.  There is no floating
 point anywhere: ``exact`` is the one rule that admits a scalar (an int or a
-Fraction, never a bool, float or string), and ``symseries`` applies it too.
+Fraction, never a bool, float or string), ``check_exponent`` the one that
+admits a t-exponent, and ``symseries`` and ``serialize`` apply them too.
 Instances are immutable: coefficients live in a tuple with the trailing
 zeros stripped, so equality and hashing are structural.
 """
@@ -29,6 +30,13 @@ def exact(c, what: str = "coefficient") -> Scalar:
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise ValueError(f"{what} must be an int or a Fraction, got {c!r}")
+
+
+def check_exponent(k, what: str) -> int:
+    """A t-exponent: a non-negative int (not a bool, not a float)."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"{what}: t must be a non-negative integer")
+    return k
 
 
 def ratio(a: Scalar, b: Scalar) -> Scalar:

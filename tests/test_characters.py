@@ -91,6 +91,18 @@ def test_sum_of_squared_dimensions(n):
     assert sum(t.dimension(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_character_table_reads_character_value(n):
+    t = character_table(n)
+    for lam in partitions_of(n):
+        assert t.dimension(lam) == character_value(lam, (1,) * n)
+        for mu in partitions_of(n):
+            assert t.chi(lam, mu) == character_value(lam, mu)
+    with pytest.raises(AttributeError):
+        t.n = n + 1
+    assert t.n == n
+
+
 def test_character_value_standalone():
     assert character_value((2, 1), (1, 1, 1)) == 2
     assert character_value((4, 1), (2, 2, 1)) == 0

@@ -150,7 +150,7 @@ def test_output_to_unwritable_path_is_usage_error(tmp_path, capsys, monkeypatch,
     def compute(*_args):
         pytest.fail("computed before checking --output")
 
-    monkeypatch.setattr(cli, "solve_B", compute)
+    monkeypatch.setattr(solver, "solve_B", compute)
     monkeypatch.setattr(leveltrees, "level_tree_census", compute)
     target = tmp_path / "missing" / "out.json" if unwritable == "missing directory" else tmp_path
     with pytest.raises(SystemExit) as exc:
@@ -160,28 +160,85 @@ def test_output_to_unwritable_path_is_usage_error(tmp_path, capsys, monkeypatch,
     assert err.count("\n") == 1 and str(target) in err
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE_MODULES = {
+    f"braidchow.{path.stem}" for path in (SRC / "braidchow").glob("*.py")
+} - {"braidchow.__init__", "braidchow.__main__"}
+# dataclasses brings inspect, ast, dis and tokenize, which no command needs
+NEVER_LOADED = {"dataclasses", "inspect"}
+
+
+def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args``, importing braidchow from src."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    proc = _python("-c", f"{code}\nimport sys\nprint(' '.join(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
 @pytest.mark.parametrize(
     "module, absent",
     [
-        # the commands that need them import checks and leveltrees
-        ("braidchow.cli", {"braidchow.checks", "braidchow.leveltrees", "braidchow.reference"}),
+        # each command imports what it computes with; the bare import loads
+        # the serializers and the two modules they read
+        (
+            "braidchow.cli",
+            PACKAGE_MODULES
+            - {"braidchow.cli", "braidchow.serialize", "braidchow.partitions", "braidchow.tpoly"},
+        ),
         # the package loads its exported names on first access
         ("braidchow.reference", {"braidchow.symseries", "braidchow.solver", "braidchow.tpoly"}),
     ],
 )
 def test_an_import_loads_no_module_it_does_not_use(module, absent):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; print(' '.join(sys.modules))"],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
-    loaded = set(proc.stdout.split())
-    assert module in loaded and not loaded & absent
+    loaded = _modules_loaded_by(f"import {module}")
+    assert module in loaded and not loaded & (absent | NEVER_LOADED)
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (
+            "strata --n 4",
+            {
+                "braidchow.symseries",
+                "braidchow.solver",
+                "braidchow.characters",
+                "braidchow.pointcounts",
+            },
+        ),
+        ("numeric --max-n 6 --method lattice", {"braidchow.characters"}),
+        ("numeric --max-n 4", set()),
+        ("table --max-n 4", set()),
+        ("m-series --max-n 4", set()),
+        ("verify --max-n 3", set()),
+    ],
+)
+def test_a_command_loads_no_module_it_does_not_use(argv, absent):
+    loaded = _modules_loaded_by(f"from braidchow import cli\ncli.main({argv.split()!r})")
+    assert not loaded & (absent | NEVER_LOADED)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", ["table --max-n 8", "verify --max-n 4", "strata --n 4"])
+def test_a_failed_stdout_write_exits_2_with_one_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = _python("-m", "braidchow", *argv.split(), stdout=full)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("braidchow: error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_output_check_neither_creates_nor_truncates(tmp_path):

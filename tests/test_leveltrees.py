@@ -57,6 +57,20 @@ def test_no_duplicates():
         assert len(set(trees)) == len(trees)
 
 
+def test_level_trees_compare_hash_and_print_by_their_root():
+    a = tree(0, (0, 2), [_make_node(1, (1, 3), ())])
+    b = tree(0, (2, 0), [_make_node(1, (3, 1), ())])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != tree(0, (0, 1, 2, 3), ()) and a != a.root
+    assert repr(a) == "LevelTree(root=(0, (0, 2), ((1, (1, 3), ()),)))"
+    for attr in ("root", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, ())
+    with pytest.raises(AttributeError):
+        del a.root
+    assert a == b
+
+
 # sha256 of repr(sorted(t.root for t in enumerate_level_trees(n))): the tree
 # set of the labelled walk, whatever order it yields the trees in.  A wrong
 # labelling with the right shape statistics passes the tally test, not this.
