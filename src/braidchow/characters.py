@@ -14,17 +14,20 @@ lam/nu of size r, straight to a series' integer rows, and builds no
 character table: the terms c p_mu start at the node mu, and each node nu,
 largest first, multiplies its Schur vector by p_(last part of nu) and adds
 it into the node nu minus its last part.  Partitions that share a prefix
-share that work, and the root holds every <f, s_lam> at once.  The removal
-route stays as the independent oracle for it (`checks`, tests).
+share that work, and the root holds every <f, s_lam> at once.  Each t-row
+is one int packed at a proved width (`symseries._pack`), so adding a strip
+is one bigint addition.  The removal route stays as the independent oracle
+for it (`checks`, tests).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, isqrt
 
 from .partitions import Partition, partitions_of, z_lambda
-from .symseries import SymSeries, _numerators
+from .symseries import SymSeries, _numerators, _pack, _unpack
 from .tpoly import TPoly, ratio
 
 
@@ -56,7 +59,9 @@ def _add_strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
     r zero rows, enough for any strip of size r to end in.  Raising the beta
     number of row i by r moves it up past the height h = i - j beta numbers
     it jumps over: the strip's head lands in row j, and rows j+1..i each take
-    the part of the row above plus one.
+    the part of the row above plus one.  Row j holds a part of lam (the head
+    stays below the row above it), so the result is lam up to row j, the
+    strip's rows, and lam past row i, with no padding left to strip.
     """
     parts = lam + (0,) * r
     ell = len(parts)
@@ -69,8 +74,8 @@ def _add_strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
             j -= 1
         if j and betas[j - 1] == nb:
             continue
-        new = parts[:j] + (nb - (ell - 1 - j),) + tuple(p + 1 for p in parts[j:i]) + parts[i + 1:]
-        results.append((tuple(p for p in new if p), -1 if (i - j) % 2 else 1))
+        new = lam[:j] + (nb - (ell - 1 - j),) + tuple(p + 1 for p in parts[j:i]) + lam[i + 1:]
+        results.append((new, -1 if (i - j) % 2 else 1))
     return tuple(results)
 
 
@@ -143,47 +148,48 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
 
     Returns only the nonzero coefficients <f, s_lam>, as polynomials in t,
     in the order of `partitions_of(n)`.  Each term c t^k p_mu becomes entry k
-    of an integer row over f's common denominator, held at the node mu as
-    the Schur vector {(): row}.  For j = n down to 1, every node nu of size j
-    multiplies its vector by p_r, r = nu[-1], through `_add_strips`, and adds
-    the result into the node nu[:-1]; the root () then holds
-    p_mu = sum_lam chi^lam(mu) s_lam summed over f.  Each output coefficient
-    is its row entry over the denominator: an int where that divides exactly,
-    so an integral table builds no Fraction.
+    of an integer row over f's common denominator, packed into one int and
+    held at the node mu as the Schur vector {(): row}.  For j = n down to 1,
+    every node nu of size j multiplies its vector by p_r, r = nu[-1], through
+    `_add_strips`, and adds the result into the node nu[:-1]; the root ()
+    then holds p_mu = sum_lam chi^lam(mu) s_lam summed over f.  Each output
+    coefficient is its row entry over the denominator: an int where that
+    divides exactly, so an integral table builds no Fraction.
+
+    The packing width is proved: the entry k of the root's row lam is
+    sum_mu chi^lam(mu) N_mu,k, and |chi^lam(mu)| <= f^lam <= sqrt(n!) since
+    the squares of the dimensions f^lam sum to n!.  So every entry is at most
+    isqrt(n!) times the l1 norm of f's rows, and a width one bit above that
+    bound's bit length reads each entry back as a balanced digit.  Packed
+    sums are exact integer sums, so only the root's entries need the bound.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if not f.is_homogeneous(n):
         raise ValueError(f"series is not homogeneous of degree {n}")
     den, rows = _numerators(f, n)
-    width = f.t_degree() + 1
-    # nodes[j]: partition nu of size j -> its Schur vector {lam: integer t-row}
-    nodes: list[dict[Partition, dict[Partition, list[int]]]] = [{} for _ in range(n + 1)]
+    l1 = sum(abs(v) for row in rows.values() for v in row.values())
+    width = (isqrt(factorial(n)) * l1).bit_length() + 1
+    # nodes[j]: partition nu of size j -> its Schur vector {lam: packed t-row}
+    nodes: list[dict[Partition, dict[Partition, int]]] = [{} for _ in range(n + 1)]
     for mu, row in rows.items():
-        padded = [0] * width
-        for k, v in row.items():
-            padded[k] = v
-        nodes[n][mu] = {(): padded}
+        nodes[n][mu] = {(): _pack(row, width)}
     for j in range(n, 0, -1):
         for nu, vec in nodes[j].items():
             r = nu[-1]
             parent = nodes[j - r].setdefault(nu[:-1], {})
-            for lam, row in vec.items():
+            get = parent.get
+            for lam, x in vec.items():
                 for sup, sign in _add_strips(lam, r):
-                    acc = parent.get(sup)
-                    if acc is None:
-                        parent[sup] = row if sign > 0 else [-v for v in row]
-                    elif sign > 0:
-                        parent[sup] = [a + v for a, v in zip(acc, row)]
-                    else:
-                        parent[sup] = [a - v for a, v in zip(acc, row)]
+                    parent[sup] = get(sup, 0) + x if sign > 0 else get(sup, 0) - x
         nodes[j] = {}
     root = nodes[0].get((), {})
     out: dict[Partition, TPoly] = {}
     for lam in partitions_of(n):
-        acc = root.get(lam)
-        if acc is not None and any(acc):
-            out[lam] = TPoly([ratio(v, den) for v in acc])
+        x = root.get(lam)
+        if x:
+            row = _unpack(x, width)
+            out[lam] = TPoly([ratio(row.get(k, 0), den) for k in range(max(row) + 1)])
     return out
 
 

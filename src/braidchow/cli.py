@@ -227,8 +227,20 @@ def cmd_verify(args: argparse.Namespace, parser) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse writes help and usage to stdout itself and drops a failed
+    write; this sends them through `_write_stdout`.  Subparsers take the
+    class of their parent, so every command's --help goes the same way."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _write_stdout(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braidchow",
         description="Equivariant Chow polynomials of braid matroids, exactly.",
     )

@@ -13,7 +13,10 @@ with one point pinned; purity lets q double as the grading variable t.
 The counts are built on integers: d * necklace(d) is an integer polynomial,
 so each twisted count is a product of integer lists, and its division by
 q(q - 1) is a shift and a synthetic division, checked to leave no
-remainder.  One Fraction c / z_lambda is made per term of the series.
+remainder.  The series is held in integer form (``SymSeries._from_int``):
+the term c / z_lambda of degree n is the numerator c * n! / z_lambda over
+n!, and each component is brought to its least denominator, so no Fraction
+is made until its terms are read.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from math import factorial
 from .combinat import omega_shifted
 from .graded import GradedSeries
 from .partitions import Partition, multiplicities, partitions_of, z_lambda
-from .symseries import SymSeries
+from .symseries import SymSeries, _lowest_terms, _numerators
 from .tpoly import TPoly, T_MINUS_ONE
 
 
@@ -119,13 +122,12 @@ def m_component(n: int) -> SymSeries:
     twisted_count / (q(q-1)) * p_lambda / z_lambda, with q read as t."""
     if n < 2:
         raise ValueError("components start at n = 2")
-    terms = {}
+    fact = factorial(n)  # every z_lambda divides n!: n!/z_lambda is a class size
+    rows = {}
     for lam in partitions_of(n):
-        z = z_lambda(lam)
-        for k, c in enumerate(_affine_quotient(lam)):
-            if c:
-                terms[(lam, k)] = Fraction(c, z)
-    return SymSeries._trusted(n, terms)
+        size = fact // z_lambda(lam)
+        rows[lam] = {k: c * size for k, c in enumerate(_affine_quotient(lam)) if c}
+    return SymSeries._from_int(n, {n: _lowest_terms(fact, rows)})
 
 
 class MSeries(GradedSeries):
@@ -137,8 +139,11 @@ class MSeries(GradedSeries):
             if comp.t_degree() > n - 2:
                 raise ValueError(f"component {n} exceeds t-degree {n - 2}")
             expected = omega_shifted(n).divexact(T_MINUS_ONE)
-            got = comp.p_coefficient((1,) * n) * factorial(n)
-            if got != expected:
+            # n! [p_(1^n)] M_n = expected, compared as integer numerators over den
+            den, rows = _numerators(comp, n)
+            row = rows.get((1,) * n, {})
+            got = TPoly([row.get(k, 0) for k in range(max(row, default=-1) + 1)]) * factorial(n)
+            if got != expected * den:
                 raise ValueError(f"component {n} fails the rank-polynomial invariant")
 
 

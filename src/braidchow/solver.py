@@ -14,11 +14,10 @@ and exact division by (t - 1) must leave no remainder.  At t = 1 the inner
 series G is h_1, so the division is exact for every input series; a nonzero
 remainder signals a fault in the plethysm or the solver itself, and the
 division doubles as error detection for them.  The right-hand side is summed,
-and divided, as integer numerators over one common denominator per degree,
-and Fractions are made only for the returned components B_n: the inner series
-G and every composed piece B_k o G stay in the integer form of
-``symseries`` (unpacked rows over a denominator), and the division runs on
-those unpacked rows.
+and divided, as integer numerators over one common denominator per degree.
+The input series, the inner series G, every composed piece B_k o G and the
+returned components B_n all stay in the integer form of ``symseries``
+(unpacked rows over a denominator), so the solver builds no Fraction.
 
 Alongside the solver this module carries every independent numerical route
 to the rank polynomials H_n^num: the Stirling-number recursion, the partial
@@ -44,7 +43,16 @@ from .combinat import (
 from .graded import GradedSeries
 from .partitions import Partition
 from .pointcounts import m_series
-from .symseries import PlethysmCache, Rows, SymSeries, _fractions, _numerators, plethysm, rk
+from .symseries import (
+    PlethysmCache,
+    Rows,
+    SymSeries,
+    _fractions,
+    _lowest_terms,
+    _numerators,
+    plethysm,
+    rk,
+)
 from .tpoly import TPoly, T, T_MINUS_ONE
 
 
@@ -110,7 +118,7 @@ def solve_B(M: GradedSeries, n_max: int | None = None) -> GradedSeries:
 
     Each right-hand side (t - 1) M_n + sum_k [B_k o G]_n is summed as
     integer numerators over one common denominator and divided by (t - 1)
-    there; Fractions are built only for the components B_n."""
+    there; each B_n is held in integer form at its least denominator."""
     if n_max is None:
         n_max = M.n_max
     if n_max > M.n_max:
@@ -133,7 +141,8 @@ def solve_B(M: GradedSeries, n_max: int | None = None) -> GradedSeries:
                     acc = rhs[parts] = {}
                 for k, v in row.items():
                     acc[k] = acc.get(k, 0) + v * lift
-        b_n = SymSeries._trusted(n_max, _fractions(_rows_over_tminus1(rhs, den), den))
+        quotient = _rows_over_tminus1(rhs, den)
+        b_n = SymSeries._from_int(n_max, {n: _lowest_terms(den, quotient)} if quotient else {})
         components[n] = b_n
         if n < n_max:
             composed.append(plethysm(b_n, G, cache).by_degree())

@@ -12,7 +12,7 @@ The power-sum basis is the canonical internal form because both plethysm and
 the Frobenius characteristic are diagonal there; complete homogeneous and
 Schur inputs are converted on construction.
 
-Fractions live at the edges only.  ``SymSeries.terms`` always maps to
+Fractions live at the edges only.  ``SymSeries.terms`` maps to
 ``Fraction``, and the public constructor validates every partition,
 exponent and coefficient (coefficients by ``tpoly.exact``: ints and
 Fractions only, no floats, bools or strings); results computed here are
@@ -24,12 +24,15 @@ the inner loops neither divide nor reduce.  The integer scalings are
 checked where they are made: a psi image that would not scale to an
 integer raises ``ArithmeticError``.
 
-A plethysm returns its result in integer form, degree -> (denominator,
-``Rows``) (``SymSeries._from_int``), and builds ``terms`` only when something
-reads them (``==``, ``+``, serialization).  ``by_degree`` splits that form and
-``_numerators`` reads it as it is, so the solver sums its right-hand sides
-on integers without a Fraction for any composed piece; ``_numerators`` and
-``_fractions`` convert a series in Fraction form.
+A computed series may instead be held in integer form, degree ->
+(denominator, ``Rows``) (``SymSeries._from_int``): the input series, each
+solved component and each plethysm are.  ``terms`` is then a view built only
+when something reads it (``==``, ``+``, serialization); ``bool``,
+``is_homogeneous``, ``t_degree``, ``truncate`` and ``by_degree`` read the
+integer form, and ``_numerators`` returns it as it is, so the ``table`` path
+from the input series to the Schur table builds no Fraction.
+``_lowest_terms`` brings a form to the least denominator, the one
+``_numerators`` reads off the same terms as Fractions.
 
 Inside ``PlethysmCache`` and ``plethysm`` every integer t-row is one Python
 int packed at a width W (Kronecker substitution, evaluation at t = 2^W), so
@@ -95,8 +98,9 @@ class SymSeries:
     def _from_int(cls, n_max: int, form: dict[int, tuple[int, Rows]]) -> "SymSeries":
         """Wrap a computed result held as degree -> (D, rows): the terms of
         degree d are rows' integer numerators over D.  Every partition of
-        degree d has size d <= n_max, and every row is nonempty and free of
-        zero entries.  No Fraction is built until ``terms`` is read."""
+        degree d has size d <= n_max, every degree held has a row, and every
+        row is nonempty and free of zero entries.  No Fraction is built until
+        ``terms`` is read."""
         s = object.__new__(cls)
         s.n_max = n_max
         s._int = form
@@ -146,7 +150,7 @@ class SymSeries:
     # -- basic structure ---------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.terms if self._int is None else self._int)
 
     def __eq__(self, other) -> bool:
         return (
@@ -156,7 +160,7 @@ class SymSeries:
         )
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def coefficient(self, parts: Partition, k: int) -> Fraction:
         return self.terms.get((tuple(parts), k), Fraction(0))
@@ -196,20 +200,30 @@ class SymSeries:
         return {sum(parts) for (parts, _k) in self.terms}
 
     def is_homogeneous(self, n: int) -> bool:
+        if self._int is not None:
+            return all(d == n for d in self._int)
         return all(sum(parts) == n for (parts, _k) in self.terms)
 
     def t_degree(self) -> int:
         """Largest t-exponent present; -1 for the zero series."""
+        if self._int is not None:
+            rows = [row for _den, by_q in self._int.values() for row in by_q.values()]
+            return max(map(max, rows), default=-1)
         return max((k for (_parts, k) in self.terms), default=-1)
 
     def truncate(self, n_max: int) -> "SymSeries":
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
+        if self._int is not None:  # the kept degrees' parts are shared, never changed
+            return SymSeries._from_int(n_max, {d: p for d, p in self._int.items() if d <= n_max})
+        return SymSeries._trusted(n_max, self._terms_upto(n_max))
+
+    def _terms_upto(self, n_max: int) -> dict[Term, Fraction]:
+        """A new dict of the terms of degree <= n_max, read from ``terms`` so
+        that a series in integer form builds its Fractions once."""
         if n_max >= self.n_max:
-            return SymSeries._trusted(n_max, dict(self.terms))
-        return SymSeries._trusted(
-            n_max, {tk: c for tk, c in self.terms.items() if sum(tk[0]) <= n_max}
-        )
+            return dict(self.terms)
+        return {tk: c for tk, c in self.terms.items() if sum(tk[0]) <= n_max}
 
     # -- ring operations ---------------------------------------------------
 
@@ -219,8 +233,8 @@ class SymSeries:
         if not isinstance(other, SymSeries):
             return NotImplemented
         n_max = min(self.n_max, other.n_max)
-        acc = self.truncate(n_max).terms
-        for tk, c in other.truncate(n_max).terms.items():
+        acc = self._terms_upto(n_max)
+        for tk, c in other._terms_upto(n_max).items():
             s = acc.get(tk)
             if s is None:
                 acc[tk] = c
@@ -305,6 +319,16 @@ def _numerators(s: SymSeries, n_max: int) -> tuple[int, Rows]:
         for e, c in row.items():
             row[e] = c.numerator * (den // c.denominator)
     return den, rows
+
+
+def _lowest_terms(den: int, rows: Rows) -> tuple[int, Rows]:
+    """(den, rows) divided through by the gcd of den and every numerator.  Any
+    common denominator of the terms reduces so to the lcm of their reduced
+    denominators, the D that `_numerators` reads off the terms as Fractions."""
+    g = gcd(den, *(v for row in rows.values() for v in row.values()))
+    if g == 1:
+        return den, rows
+    return den // g, {q: {k: v // g for k, v in row.items()} for q, row in rows.items()}
 
 
 def _fractions(rows: Rows, den: int) -> dict[Term, Fraction]:

@@ -3,7 +3,7 @@ from math import factorial
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from braidchow.characters import (
     _add_strips,
@@ -209,6 +209,20 @@ def character_table_expansion(f, n):
     return expected
 
 
+# the packed sweep's width is proved from isqrt(n!) times the l1 norm of the
+# rows; a lone p_1 term meets that bound, so a narrower width fails it
+@example((1, SymSeries(1, {((1,), 0): Fraction(10**40, 3)})))
+@example((2, SymSeries(2, {((1, 1), 0): -(2**64), ((2,), 1): -(2**64) + 1})))
+@example(
+    (
+        5,
+        SymSeries(
+            5, {((1,) * 5, 3): Fraction(10**40, 3), ((2, 2, 1), 0): -7, ((5,), 1): Fraction(-2, 5)}
+        ),
+    )
+)
+@example((4, SymSeries(4, {((1,) * 4, 0): -1, ((2, 1, 1), 1): -3, ((4,), 2): Fraction(-1, 2)})))
+@example((3, SymSeries(3, {((2, 1), 60): Fraction(1, 3), ((1, 1, 1), 0): 1, ((3,), 31): -2})))
 @given(homogeneous_series())
 def test_schur_expand_matches_a_naive_fraction_dot_product(case):
     n, f = case

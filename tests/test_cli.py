@@ -231,7 +231,9 @@ def test_a_command_loads_no_module_it_does_not_use(argv, absent):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", ["table --max-n 8", "verify --max-n 4", "strata --n 4"])
+@pytest.mark.parametrize(
+    "argv", ["table --max-n 8", "verify --max-n 4", "strata --n 4", "--help", "table --help"]
+)
 def test_a_failed_stdout_write_exits_2_with_one_line(argv):
     with open("/dev/full", "w") as full:
         proc = _python("-m", "braidchow", *argv.split(), stdout=full)
@@ -495,6 +497,14 @@ PINNED_STDOUT_SHA256 = {
     "m-series --max-n 8": "5b7eb2932bed21183b7ab675a894f3df7bfdb0de6e932cac22991937a7ae3e00",
     "m-series --max-n 12": "6de34e207ee74b31c27634f366978a78613a8fae90953573da5a21c4b338ce43",
     "table --max-n 12": "142ab3db68fae4199f7eb3085f66e89e75ed13f61df2d51b3c8c747dfc47346b",
+    "table --max-n 12 --basis p":
+        "8ee9cf39fa07d74922f4efd72df9cbba5150b08d5cb26b295799eb4405557370",
+    "table --max-n 12 --basis p --format csv":
+        "65e33c6bfa5f9d31b64372e5e60fcc667bbb9ec0b0e08e90428c0a2646310653",
+    "table --max-n 12 --format csv":
+        "f3d17ba0ee5c085e140653ebf49d59dca4363c08bffc4943426a1cc41289a122",
+    "table --max-n 12 --format latex":
+        "ccbe90e2fb47cf39232784b598bd8ac28d632e12e0e4dfa17ff44ad080bd5acb",
 }
 
 

@@ -1,12 +1,14 @@
 import hashlib
+import io
 import json
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from braidchow import solver
+from braidchow import cli, solver
 from braidchow.characters import schur_expand, schur_series
 from braidchow.combinat import omega_shifted, set_partitions
 from braidchow.graded import GradedSeries
@@ -25,7 +27,7 @@ from braidchow.solver import (
     solve_B,
     verify_functional_equation,
 )
-from braidchow.symseries import PlethysmCache, SymSeries
+from braidchow.symseries import PlethysmCache, SymSeries, _numerators
 from braidchow.tpoly import T_MINUS_ONE, TPoly
 
 
@@ -205,6 +207,37 @@ def test_solve_builds_no_fraction_for_a_composed_piece(monkeypatch):
         hashlib.sha256(text.encode()).hexdigest()
         == "adac0a6fb0da48f886cf6615d99781e709d6210be721f6e0a7a251537ef2e973"
     )
+
+    # the whole `table` path, from the input series to stdout, builds no
+    # Fraction at all: every series stays in integer form, and every Schur
+    # coefficient is an integer
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    out = io.StringIO()
+    monkeypatch.setattr(SymSeries, "__getattr__", no_terms)
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    with redirect_stdout(out):
+        code = cli.main(["table", "--max-n", "12"])
+    monkeypatch.undo()
+    assert code == 0
+    assert (
+        hashlib.sha256(out.getvalue().encode()).hexdigest()
+        == "142ab3db68fae4199f7eb3085f66e89e75ed13f61df2d51b3c8c747dfc47346b"
+    )
+
+
+def test_integer_forms_are_at_the_least_denominator():
+    """Each M_n and B_n is held at the lcm of its terms' reduced
+    denominators: the form `_numerators` reads off the same terms as
+    Fractions, so every plethysm is packed as it was from Fraction input."""
+    M = m_series(12)
+    B = solve_B(M)
+    for series in (M, B):
+        for n in range(2, 13):
+            c = series.component(n)
+            as_fractions = SymSeries._trusted(c.n_max, dict(c.terms))
+            assert _numerators(c, n) == _numerators(as_fractions, n)
 
 
 def test_tminus1_division_is_exact_or_loud():
