@@ -223,10 +223,7 @@ def check_level_filtration(n_max: int):
     layers = level_filtration(M)
     if layers[0].components != M.components:
         raise CheckFailed("first filtration layer differs from input")
-    total = layers[0]
-    for layer in layers[1:]:
-        total = total + layer
-    if total != solved_series(n_max):
+    if sum(layers[1:], layers[0]) != solved_series(n_max):
         raise CheckFailed("filtration layers do not sum to the solution")
     for idx, layer in enumerate(layers):
         k = idx + 1

@@ -1,6 +1,13 @@
-"""Series graded by symmetric-function degree, one homogeneous component per n."""
+"""Series graded by symmetric-function degree, one homogeneous component per n.
+
+Each component is a ``SymSeries`` whose integer form holds the one degree n,
+so ``total`` joins the components' forms without adding anything, and a sum
+adds the totals degree by degree.  The components mapping is read-only,
+since cached series (``m_series``, ``solved_series``) are shared."""
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .symseries import SymSeries
 
@@ -20,17 +27,17 @@ class GradedSeries:
                 raise ValueError(f"component {n} is not homogeneous of degree {n}")
             if s:
                 comps[n] = s.truncate(n_max)
-        self.components = comps
+        self.components = MappingProxyType(comps)  # read-only: cached series are shared
 
     def component(self, n: int) -> SymSeries:
         return self.components.get(n, SymSeries.zero(self.n_max))
 
     def total(self) -> SymSeries:
-        """All components summed into a single series."""
-        acc = SymSeries.zero(self.n_max)
-        for n in sorted(self.components):
-            acc = acc + self.components[n]
-        return acc
+        """All components summed into a single series: their integer forms
+        hold disjoint degrees, so the sum is one form holding each."""
+        return SymSeries._from_int(
+            self.n_max, {n: self.components[n]._int[n] for n in sorted(self.components)}
+        )
 
     @classmethod
     def split(cls, s: SymSeries) -> "GradedSeries":
@@ -39,12 +46,7 @@ class GradedSeries:
         return cls(s.n_max, comps)
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
-        n_max = min(self.n_max, other.n_max)
-        comps = {}
-        for n in set(self.components) | set(other.components):
-            if n <= n_max:
-                comps[n] = self.component(n).truncate(n_max) + other.component(n).truncate(n_max)
-        return GradedSeries(n_max, comps)
+        return GradedSeries.split(self.total() + other.total())
 
     def __eq__(self, other) -> bool:
         return (

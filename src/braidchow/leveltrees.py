@@ -146,26 +146,36 @@ class LevelTree:
         return sizes
 
     def validate(self):
-        levels = self.level_sizes()
-        top = max(levels)
-        if sorted(levels) != list(range(top + 1)):
+        """Check the rules of a level tree in one walk.  The walk only
+        collects; the rules are then tested in a fixed order, so a tree that
+        breaks several gets the message of the first."""
+        root = self.root
+        levels: dict[int, int] = {}
+        unstable = not_increasing = False
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            level, marks, children = node
+            levels[level] = levels.get(level, 0) + 1
+            # val(v) + #markings(v): every vertex but the root has a parent edge
+            if len(children) + len(marks) + (node is not root) < 3:
+                unstable = True
+            for child in children:
+                if child[0] <= level:
+                    not_increasing = True
+            stack.extend(children)
+        if sorted(levels) != list(range(max(levels) + 1)):
             raise ValueError("level map is not onto an initial segment")
         if levels[0] != 1:
             raise ValueError("root must be the unique level-0 vertex")
-        if self.root[0] != 0:
+        if root[0] != 0:
             raise ValueError("root must sit at level 0")
-        if 0 not in self.root[1]:
+        if 0 not in root[1]:
             raise ValueError("marking 0 must sit at the root")
-        for deg in self.degrees():
-            if deg < 3:
-                raise ValueError("unstable vertex (degree < 3)")
-        stack = [self.root]
-        while stack:
-            level, _marks, children = stack.pop()
-            for child in children:
-                if child[0] <= level:
-                    raise ValueError("levels must strictly increase away from the root")
-                stack.append(child)
+        if unstable:
+            raise ValueError("unstable vertex (degree < 3)")
+        if not_increasing:
+            raise ValueError("levels must strictly increase away from the root")
 
     # -- pruning -------------------------------------------------------------
 

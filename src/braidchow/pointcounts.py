@@ -28,7 +28,7 @@ from math import factorial
 from .combinat import omega_shifted
 from .graded import GradedSeries
 from .partitions import Partition, multiplicities, partitions_of, z_lambda
-from .symseries import SymSeries, _lowest_terms, _numerators
+from .symseries import SymSeries, _lowest_terms, rk
 from .tpoly import TPoly, T_MINUS_ONE
 
 
@@ -139,16 +139,14 @@ class MSeries(GradedSeries):
             if comp.t_degree() > n - 2:
                 raise ValueError(f"component {n} exceeds t-degree {n - 2}")
             expected = omega_shifted(n).divexact(T_MINUS_ONE)
-            # n! [p_(1^n)] M_n = expected, compared as integer numerators over den
-            den, rows = _numerators(comp, n)
-            row = rows.get((1,) * n, {})
-            got = TPoly([row.get(k, 0) for k in range(max(row, default=-1) + 1)]) * factorial(n)
-            if got != expected * den:
+            if rk(comp).get(n, TPoly()) != expected:  # n! [p_(1^n)] M_n
                 raise ValueError(f"component {n} fails the rank-polynomial invariant")
 
 
+@lru_cache(maxsize=None)
 def m_series(n_max: int) -> MSeries:
-    """Input series with components 2..n_max."""
+    """Input series with components 2..n_max, cached per truncation degree:
+    every caller shares one series, whose components mapping is read-only."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     return MSeries(n_max, {n: m_component(n).truncate(n_max) for n in range(2, n_max + 1)})

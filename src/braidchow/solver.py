@@ -47,7 +47,6 @@ from .symseries import (
     PlethysmCache,
     Rows,
     SymSeries,
-    _fractions,
     _lowest_terms,
     _numerators,
     plethysm,
@@ -107,9 +106,14 @@ def _rows_over_tminus1(rows: Rows, den: int) -> Rows:
 
 def _divexact_tminus1(s: SymSeries) -> SymSeries:
     """Divide every p-monomial's t-polynomial by (t - 1); remainder must
-    vanish.  Runs on integer numerators over the common denominator of s."""
-    den, rows = _numerators(s, s.n_max)
-    return SymSeries._trusted(s.n_max, _fractions(_rows_over_tminus1(rows, den), den))
+    vanish.  Runs degree by degree on the integer form of s, and brings each
+    quotient to its least denominator."""
+    form = {}
+    for d, (den, rows) in s._int.items():
+        quotient = _rows_over_tminus1(rows, den)
+        if quotient:
+            form[d] = _lowest_terms(den, quotient)
+    return SymSeries._from_int(s.n_max, form)
 
 
 def solve_B(M: GradedSeries, n_max: int | None = None) -> GradedSeries:

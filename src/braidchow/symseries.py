@@ -12,27 +12,22 @@ The power-sum basis is the canonical internal form because both plethysm and
 the Frobenius characteristic are diagonal there; complete homogeneous and
 Schur inputs are converted on construction.
 
-Fractions live at the edges only.  ``SymSeries.terms`` maps to
-``Fraction``, and the public constructor validates every partition,
-exponent and coefficient (coefficients by ``tpoly.exact``: ints and
-Fractions only, no floats, bools or strings); results computed here are
-built through ``SymSeries._trusted``, which skips that re-validation.
-Inside, products and plethysms run on plain integers: each operand is
-scaled to a common denominator (products of series), or each term of
-degree d is held as an integer multiple of 1/d! (``PlethysmCache``), so
-the inner loops neither divide nor reduce.  The integer scalings are
-checked where they are made: a psi image that would not scale to an
-integer raises ``ArithmeticError``.
-
-A computed series may instead be held in integer form, degree ->
-(denominator, ``Rows``) (``SymSeries._from_int``): the input series, each
-solved component and each plethysm are.  ``terms`` is then a view built only
-when something reads it (``==``, ``+``, serialization); ``bool``,
-``is_homogeneous``, ``t_degree``, ``truncate`` and ``by_degree`` read the
-integer form, and ``_numerators`` returns it as it is, so the ``table`` path
-from the input series to the Schur table builds no Fraction.
-``_lowest_terms`` brings a form to the least denominator, the one
-``_numerators`` reads off the same terms as Fractions.
+Every series is held in one integer form, degree -> (denominator, ``Rows``):
+the terms of degree d are integer numerators over one positive denominator.
+All arithmetic runs on it.  A sum lifts the two parts of a degree to the lcm
+of their denominators and drops what cancels; a product multiplies
+numerators and denominators; ``psi`` relabels; ``==`` compares each degree
+at its least denominator (``_lowest_terms``), so it is exact equality of
+rational series whatever denominators the two forms hold.  Fractions live at
+the edges only: the public constructor takes terms as Fractions and
+validates every partition, exponent and coefficient (coefficients by
+``tpoly.exact``: ints and Fractions only, no floats, bools or strings), and
+``terms`` is a view built afresh on each read, for serialization, ``repr``
+and tests.  Products and plethysms neither divide nor reduce in their inner
+loops: each term of degree d of a plethysm table is held as an integer
+multiple of 1/d! (``PlethysmCache``), a scaling that is checked where it is
+made: a psi image that would not scale to an integer raises
+``ArithmeticError``.
 
 Inside ``PlethysmCache`` and ``plethysm`` every integer t-row is one Python
 int packed at a width W (Kronecker substitution, evaluation at t = 2^W), so
@@ -50,7 +45,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from .partitions import Partition, check_partition, merge, partitions_of, z_lambda
-from .tpoly import TPoly, check_exponent, exact
+from .tpoly import TPoly, check_exponent, exact, ratio
 
 Term = tuple[Partition, int]
 
@@ -63,58 +58,50 @@ def term_sort_key(term: Term):
 class SymSeries:
     """Element of Q[t][p_1, p_2, ...] truncated at symmetric-function degree n_max."""
 
-    # _int: None, or the integer form degree -> (denominator, Rows) of a
-    # computed result; terms is then built from it on first read
-    __slots__ = ("n_max", "terms", "_int")
+    # _int: the integer form, degree -> (denominator, Rows)
+    __slots__ = ("n_max", "_int")
 
     def __init__(self, n_max: int, terms: dict[Term, Fraction] | None = None):
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        self.n_max = n_max
-        self._int = None
-        clean: dict[Term, Fraction] = {}
+        by_deg: dict[int, dict[Term, int | Fraction]] = {}
         if terms:
             for (parts, k), c in terms.items():
                 what = f"term {parts!r} t^{k!r}"
                 check_exponent(k, what)
-                c = Fraction(exact(c, f"{what}: coefficient"))
-                if c == 0 or sum(parts) > n_max:
-                    continue
-                clean[(check_partition(parts), k)] = c
-        self.terms = clean
-
-    @classmethod
-    def _trusted(cls, n_max: int, terms: dict[Term, Fraction]) -> "SymSeries":
-        """Wrap a computed result without re-validating it: every key is a
-        partition of size <= n_max with a non-negative exponent, every value a
-        nonzero Fraction, and the dict is not shared with the caller."""
-        s = object.__new__(cls)
-        s.n_max = n_max
-        s.terms = terms
-        s._int = None
-        return s
+                c = exact(c, f"{what}: coefficient")
+                d = sum(check_partition(parts))
+                if c and d <= n_max:
+                    by_deg.setdefault(d, {})[(parts, k)] = c
+        form: dict[int, tuple[int, Rows]] = {}
+        for d, cs in by_deg.items():
+            # the lcm of reduced denominators: the least denominator
+            den = lcm(*(c.denominator for c in cs.values()))
+            rows: Rows = {}
+            for (parts, k), c in cs.items():
+                rows.setdefault(parts, {})[k] = c.numerator * (den // c.denominator)
+            form[d] = (den, rows)
+        self.n_max = n_max
+        self._int = form
 
     @classmethod
     def _from_int(cls, n_max: int, form: dict[int, tuple[int, Rows]]) -> "SymSeries":
         """Wrap a computed result held as degree -> (D, rows): the terms of
-        degree d are rows' integer numerators over D.  Every partition of
+        degree d are rows' integer numerators over D > 0.  Every partition of
         degree d has size d <= n_max, every degree held has a row, and every
-        row is nonempty and free of zero entries.  No Fraction is built until
-        ``terms`` is read."""
+        row is nonempty and free of zero entries.  The parts are shared, not
+        copied: no one changes them once they are wrapped."""
         s = object.__new__(cls)
         s.n_max = n_max
         s._int = form
         return s
 
-    def __getattr__(self, name):
-        # only reached for an unset slot: build terms from the integer form
-        if name != "terms" or self._int is None:
-            raise AttributeError(name)
-        terms: dict[Term, Fraction] = {}
-        for den, rows in self._int.values():
-            terms.update(_fractions(rows, den))
-        self.terms = terms
-        return terms
+    @property
+    def terms(self) -> dict[Term, Fraction]:
+        """Every term as a Fraction, in a new dict built on each read: the
+        view for serialization, repr and tests.  No arithmetic reads it."""
+        parts = self._int.values()
+        return {tk: c for den, rows in parts for tk, c in _fractions(rows, den).items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -124,7 +111,7 @@ class SymSeries:
 
     @classmethod
     def one(cls, n_max: int) -> "SymSeries":
-        return cls(n_max, {((), 0): Fraction(1)})
+        return cls(n_max, {((), 0): 1})
 
     @classmethod
     def p(cls, parts: Partition | int, n_max: int | None = None) -> "SymSeries":
@@ -134,7 +121,7 @@ class SymSeries:
         parts = tuple(parts)
         if n_max is None:
             n_max = sum(parts)
-        return cls(n_max, {(parts, 0): Fraction(1)})
+        return cls(n_max, {(parts, 0): 1})
 
     @classmethod
     def h(cls, n: int, n_max: int | None = None) -> "SymSeries":
@@ -145,85 +132,66 @@ class SymSeries:
             n_max = n
         if n > n_max:
             return cls.zero(n_max)
-        return cls._trusted(n_max, {(lam, 0): Fraction(1, z_lambda(lam)) for lam in partitions_of(n)})
+        # n!/z_lambda is a class size, 1 for the identity: n! is the least denominator
+        fact = factorial(n)
+        rows = {lam: {0: fact // z_lambda(lam)} for lam in partitions_of(n)}
+        return cls._from_int(n_max, {n: (fact, rows)})
 
     # -- basic structure ---------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms if self._int is None else self._int)
+        return bool(self._int)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymSeries)
-            and self.n_max == other.n_max
-            and self.terms == other.terms
+        """Exact equality of rational series: each degree is compared at its
+        least denominator, whatever denominators the two forms hold."""
+        if not isinstance(other, SymSeries) or self.n_max != other.n_max:
+            return False
+        a, b = self._int, other._int
+        return a.keys() == b.keys() and all(
+            a[d] is b[d] or _lowest_terms(*a[d]) == _lowest_terms(*b[d]) for d in a
         )
 
     def is_zero(self) -> bool:
         return not self
 
     def coefficient(self, parts: Partition, k: int) -> Fraction:
-        return self.terms.get((tuple(parts), k), Fraction(0))
+        parts = tuple(parts)
+        den, rows = self._int.get(sum(parts), (1, {}))
+        return Fraction(rows.get(parts, {}).get(k, 0), den)
 
     def p_coefficient(self, parts: Partition) -> TPoly:
         """All t-exponents of one p-monomial collected into a polynomial."""
         parts = tuple(parts)
-        coeffs: dict[int, Fraction] = {}
-        for (lam, k), c in self.terms.items():
-            if lam == parts:
-                coeffs[k] = c
-        if not coeffs:
+        den, rows = self._int.get(sum(parts), (1, {}))
+        row = rows.get(parts)
+        if not row:
             return TPoly()
-        return TPoly([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+        return TPoly([ratio(row.get(i, 0), den) for i in range(max(row) + 1)])
 
     def homogeneous_part(self, n: int) -> "SymSeries":
         """Terms of symmetric-function degree exactly n (keeps n_max)."""
-        return SymSeries._trusted(
-            self.n_max, {tk: c for tk, c in self.terms.items() if sum(tk[0]) == n}
-        )
+        return SymSeries._from_int(self.n_max, {n: self._int[n]} if n in self._int else {})
 
     def by_degree(self) -> dict[int, "SymSeries"]:
-        """Every homogeneous part, keyed by degree, in one pass over the terms;
-        the parts of a series in integer form stay in integer form."""
-        if self._int is not None:
-            return {d: SymSeries._from_int(self.n_max, {d: part}) for d, part in self._int.items()}
-        parts_by_deg: dict[int, dict[Term, Fraction]] = {}
-        for tk, c in self.terms.items():
-            d = sum(tk[0])
-            bucket = parts_by_deg.get(d)
-            if bucket is None:
-                bucket = parts_by_deg[d] = {}
-            bucket[tk] = c
-        return {d: SymSeries._trusted(self.n_max, ts) for d, ts in parts_by_deg.items()}
+        """Every homogeneous part, keyed by degree."""
+        return {d: SymSeries._from_int(self.n_max, {d: part}) for d, part in self._int.items()}
 
     def degrees(self) -> set[int]:
-        return {sum(parts) for (parts, _k) in self.terms}
+        return set(self._int)
 
     def is_homogeneous(self, n: int) -> bool:
-        if self._int is not None:
-            return all(d == n for d in self._int)
-        return all(sum(parts) == n for (parts, _k) in self.terms)
+        return all(d == n for d in self._int)
 
     def t_degree(self) -> int:
         """Largest t-exponent present; -1 for the zero series."""
-        if self._int is not None:
-            rows = [row for _den, by_q in self._int.values() for row in by_q.values()]
-            return max(map(max, rows), default=-1)
-        return max((k for (_parts, k) in self.terms), default=-1)
+        rows = [row for _den, by_q in self._int.values() for row in by_q.values()]
+        return max(map(max, rows), default=-1)
 
     def truncate(self, n_max: int) -> "SymSeries":
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        if self._int is not None:  # the kept degrees' parts are shared, never changed
-            return SymSeries._from_int(n_max, {d: p for d, p in self._int.items() if d <= n_max})
-        return SymSeries._trusted(n_max, self._terms_upto(n_max))
-
-    def _terms_upto(self, n_max: int) -> dict[Term, Fraction]:
-        """A new dict of the terms of degree <= n_max, read from ``terms`` so
-        that a series in integer form builds its Fractions once."""
-        if n_max >= self.n_max:
-            return dict(self.terms)
-        return {tk: c for tk, c in self.terms.items() if sum(tk[0]) <= n_max}
+        return SymSeries._from_int(n_max, {d: p for d, p in self._int.items() if d <= n_max})
 
     # -- ring operations ---------------------------------------------------
 
@@ -233,21 +201,25 @@ class SymSeries:
         if not isinstance(other, SymSeries):
             return NotImplemented
         n_max = min(self.n_max, other.n_max)
-        acc = self._terms_upto(n_max)
-        for tk, c in other._terms_upto(n_max).items():
-            s = acc.get(tk)
-            if s is None:
-                acc[tk] = c
-            elif s + c:
-                acc[tk] = s + c
+        form = {d: part for d, part in self._int.items() if d <= n_max}
+        for d, part in other._int.items():
+            if d > n_max:
+                continue
+            mine = form.get(d)
+            if mine is None:
+                form[d] = part
             else:
-                del acc[tk]
-        return SymSeries._trusted(n_max, acc)
+                summed = _add_parts(mine, part)
+                if summed[1]:
+                    form[d] = summed
+                else:
+                    del form[d]
+        return SymSeries._from_int(n_max, form)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymSeries":
-        return SymSeries._trusted(self.n_max, {tk: -c for tk, c in self.terms.items()})
+        return self._scaled(-1, 1)
 
     def __sub__(self, other) -> "SymSeries":
         return self + (-other if isinstance(other, SymSeries) else -exact(other, "scalar"))
@@ -257,20 +229,26 @@ class SymSeries:
             other = exact(other, "scalar")
             if not other:
                 return SymSeries.zero(self.n_max)
-            return SymSeries._trusted(self.n_max, {tk: c * other for tk, c in self.terms.items()})
+            return self._scaled(other.numerator, other.denominator)
         if isinstance(other, TPoly):
-            acc: dict[Term, Fraction] = {}
-            for (parts, k), c in self.terms.items():
-                for i, ci in enumerate(other.coeffs):
-                    if ci:
-                        key = (parts, k + i)
-                        acc[key] = acc.get(key, 0) + c * ci
-            return SymSeries._trusted(self.n_max, {tk: c for tk, c in acc.items() if c})
+            nonzero = [(i, c) for i, c in enumerate(other.coeffs) if c]
+            if len(nonzero) == 1:  # c t^i: a scaling and a shift of exponents
+                i, c = nonzero[0]
+                return self._scaled(c.numerator, c.denominator, i)
+            other = SymSeries(self.n_max, {((), i): c for i, c in nonzero})  # of degree 0
         if not isinstance(other, SymSeries):
             return NotImplemented
         return _mul_series(self, other)
 
     __rmul__ = __mul__
+
+    def _scaled(self, num: int, den: int, shift: int = 0) -> "SymSeries":
+        """The series times t^shift num / den, num nonzero and den positive."""
+        form = {}
+        for d, (den_d, rows) in self._int.items():
+            rows = {q: {k + shift: v * num for k, v in row.items()} for q, row in rows.items()}
+            form[d] = (den_d * den, rows)
+        return SymSeries._from_int(self.n_max, form)
 
     # -- presentation ------------------------------------------------------
 
@@ -278,7 +256,7 @@ class SymSeries:
         return sorted(self.terms.items(), key=lambda item: term_sort_key(item[0]))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self:
             return f"SymSeries(n_max={self.n_max}, 0)"
         bits = []
         for (parts, k), c in self.sorted_terms():
@@ -295,36 +273,46 @@ Rows = dict[Partition, dict[int, int]]
 
 def _numerators(s: SymSeries, n_max: int) -> tuple[int, Rows]:
     """(D, rows): the terms of s of degree <= n_max as integer numerators over
-    D; rows maps partition -> t-exponent -> N.  For a series in integer form
-    D is the lcm of its degrees' denominators, and the rows of a single degree
-    are returned as they are held, not copied: read them, never change them.
-    Otherwise D is the lcm of the terms' denominators."""
-    if s._int is not None:
-        held = [part for d, part in s._int.items() if d <= n_max]
-        if len(held) == 1:
-            return held[0]
-        den = lcm(*(den_d for den_d, _rows in held))
-        rows: Rows = {}
-        for den_d, rows_d in held:
-            lift = den // den_d
-            for parts, row in rows_d.items():
-                rows[parts] = {e: v * lift for e, v in row.items()}
-        return den, rows
-    rows: dict[Partition, dict[int, Fraction]] = {}
-    for (parts, e), c in s.terms.items():
-        if sum(parts) <= n_max:
-            rows.setdefault(parts, {})[e] = c
-    den = lcm(*(c.denominator for row in rows.values() for c in row.values()))
-    for row in rows.values():
-        for e, c in row.items():
-            row[e] = c.numerator * (den // c.denominator)
+    D, the lcm of the held degrees' denominators; rows maps partition ->
+    t-exponent -> N.  The rows of a single degree are returned as they are
+    held, not copied: read them, never change them."""
+    held = [part for d, part in s._int.items() if d <= n_max]
+    if len(held) == 1:
+        return held[0]
+    den = lcm(*(den_d for den_d, _rows in held))
+    rows: Rows = {}
+    for den_d, rows_d in held:
+        lift = den // den_d
+        for parts, row in rows_d.items():
+            rows[parts] = {e: v * lift for e, v in row.items()}
+    return den, rows
+
+
+def _add_parts(a: tuple[int, Rows], b: tuple[int, Rows]) -> tuple[int, Rows]:
+    """The sum of two parts of one degree, over the lcm of their
+    denominators; entries and rows that cancel are dropped."""
+    den = lcm(a[0], b[0])
+    lift_a, lift_b = den // a[0], den // b[0]
+    rows = {q: {k: v * lift_a for k, v in row.items()} for q, row in a[1].items()}
+    for q, row in b[1].items():
+        acc = rows.get(q)
+        if acc is None:
+            rows[q] = {k: v * lift_b for k, v in row.items()}
+            continue
+        for k, v in row.items():
+            v = acc.get(k, 0) + v * lift_b
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+        if not acc:
+            del rows[q]
     return den, rows
 
 
 def _lowest_terms(den: int, rows: Rows) -> tuple[int, Rows]:
-    """(den, rows) divided through by the gcd of den and every numerator.  Any
-    common denominator of the terms reduces so to the lcm of their reduced
-    denominators, the D that `_numerators` reads off the terms as Fractions."""
+    """(den, rows) divided through by the gcd of den and every numerator: the
+    least denominator, and so one canonical form for each rational part."""
     g = gcd(den, *(v for row in rows.values() for v in row.values()))
     if g == 1:
         return den, rows
@@ -342,19 +330,23 @@ def _mul_series(a: SymSeries, b: SymSeries) -> SymSeries:
     # the truncation are never formed
     den_a, rows_a = _numerators(a, n_max)
     den_b, rows_b = _numerators(b, n_max)
-    acc: dict[Term, int] = {}
+    acc: dict[int, Rows] = {}
     for pa, ta in rows_a.items():
         room = n_max - sum(pa)
         for pb, tb in rows_b.items():
             if sum(pb) > room:
                 continue
             q = merge(pa, pb)
+            row = acc.setdefault(sum(q), {}).setdefault(q, {})
             for ka, na in ta.items():
                 for kb, nb in tb.items():
-                    key = (q, ka + kb)
-                    acc[key] = acc.get(key, 0) + na * nb
-    den = den_a * den_b
-    return SymSeries._trusted(n_max, {tk: Fraction(v, den) for tk, v in acc.items() if v})
+                    row[ka + kb] = row.get(ka + kb, 0) + na * nb
+    form: dict[int, tuple[int, Rows]] = {}
+    for d, by_q in acc.items():
+        rows = {q: kept for q, row in by_q.items() if (kept := {k: v for k, v in row.items() if v})}
+        if rows:
+            form[d] = (den_a * den_b, rows)
+    return SymSeries._from_int(n_max, form)
 
 
 # -- degree-scaling and plethysm ------------------------------------------
@@ -366,15 +358,14 @@ def psi(k: int, f: SymSeries) -> SymSeries:
         raise ValueError("psi index must be positive")
     if k == 1:
         return f
-    # (parts, e) -> (k*parts, k*e) is injective, so no two terms collide
-    return SymSeries._trusted(
-        f.n_max,
-        {
-            (tuple(k * p for p in parts), k * e): c
-            for (parts, e), c in f.terms.items()
-            if k * sum(parts) <= f.n_max
-        },
-    )
+    # degree d goes to k*d and (parts, e) -> (k*parts, k*e) is injective, so
+    # no two terms collide
+    form = {}
+    for d, (den, rows) in f._int.items():
+        if k * d <= f.n_max:
+            rows = {tuple(k * p for p in q): row.items() for q, row in rows.items()}
+            form[k * d] = (den, {q: {k * e: v for e, v in row} for q, row in rows.items()})
+    return SymSeries._from_int(f.n_max, form)
 
 
 # -- Kronecker-packed t-rows -------------------------------------------------
@@ -622,7 +613,7 @@ def frobenius_from_character(n: int, char: dict[Partition, TPoly | int | Fractio
     ``char`` must assign a value (a polynomial in t for graded characters) to
     every partition of n.
     """
-    acc: dict[Term, Fraction] = {}
+    acc: dict[Term, int | Fraction] = {}
     for lam in partitions_of(n):
         if lam not in char:
             raise KeyError(f"character value missing for cycle type {lam}")
@@ -632,8 +623,8 @@ def frobenius_from_character(n: int, char: dict[Partition, TPoly | int | Fractio
         z = z_lambda(lam)
         for k, c in enumerate(val.coeffs):
             if c:
-                acc[(lam, k)] = Fraction(c, z)
-    return SymSeries._trusted(n, acc)
+                acc[(lam, k)] = ratio(c, z)
+    return SymSeries(n, acc)
 
 
 def rk(f: SymSeries) -> dict[int, TPoly]:
@@ -643,15 +634,10 @@ def rk(f: SymSeries) -> dict[int, TPoly]:
     p_(1^n) as a polynomial in t; for the characteristic of a representation
     this is its dimension.
     """
-    by_n: dict[int, dict[int, Fraction]] = {}
-    for (parts, k), c in f.terms.items():
-        if all(p == 1 for p in parts):
-            n = len(parts)
-            by_n.setdefault(n, {})[k] = by_n.get(n, {}).get(k, Fraction(0)) + c
     out: dict[int, TPoly] = {}
-    for n, coeffs in by_n.items():
-        fact = factorial(n)
-        poly = TPoly([coeffs.get(i, 0) * fact for i in range(max(coeffs) + 1)])
-        if poly:
-            out[n] = poly
+    for n, (den, rows) in f._int.items():
+        row = rows.get((1,) * n)
+        if row:
+            fact = factorial(n)
+            out[n] = TPoly([ratio(row.get(i, 0) * fact, den) for i in range(max(row) + 1)])
     return out

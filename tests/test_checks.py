@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from braidchow import checks, combinat
+from braidchow import checks, combinat, symseries
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -59,3 +59,16 @@ def test_run_all_reports_each_check_failed_message(monkeypatch):
     lines = []
     assert checks.run_all(8, report=lines.append) == [("broken", "broken at 3")]
     assert lines == ["FAIL broken: broken at 3"]
+
+
+def test_series_checks_build_no_fraction_term_view(monkeypatch):
+    """The level filtration and the functional equation add, subtract,
+    divide and compare series in integer form only: with the builder of the
+    Fraction view of a series made to raise, both checks still pass."""
+
+    def no_terms(*args):
+        raise AssertionError("the Fraction terms of a series were built")
+
+    monkeypatch.setattr(symseries, "_fractions", no_terms)
+    checks.check_level_filtration(8)
+    checks.check_functional_equation(8)

@@ -161,6 +161,25 @@ def test_validation_rejects_bad_trees():
         tree(0, (1, 2), (_make_node(1, (0, 3), ()),))
 
 
+@pytest.mark.parametrize(
+    "root, message",
+    [
+        ((0, (0, 1), ((2, (2, 3), ()),)), "level map is not onto an initial segment"),
+        ((0, (0, 1), ((0, (2, 3), ()),)), "root must be the unique level-0 vertex"),
+        ((1, (0, 1), ((0, (2, 3), ()),)), "root must sit at level 0"),
+        ((0, (1, 2), ((1, (0, 3), ()),)), "marking 0 must sit at the root"),
+        ((0, (0, 1), ()), r"unstable vertex \(degree < 3\)"),
+        (
+            (0, (0, 1), ((1, (2,), ((1, (3, 4), ()),)),)),
+            "levels must strictly increase away from the root",
+        ),
+    ],
+)
+def test_validation_names_the_broken_rule(root, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LevelTree(root)
+
+
 def test_enumerate_rejects_small_n():
     with pytest.raises(ValueError):
         next(enumerate_level_trees(1))

@@ -59,6 +59,14 @@ def test_constructor_rejects_a_partition_of_bools():
         SymSeries(2, {((True,), 0): 1})
 
 
+@pytest.mark.parametrize("parts", [("a",), (1, 2), (9, "x")], ids=repr)
+def test_constructor_rejects_a_non_partition_at_any_size(parts):
+    # also past n_max, where the term would be dropped, and at coefficient 0
+    for coeff in (1, 0):
+        with pytest.raises(ValueError, match=re.escape(f"not a partition: {parts!r}")):
+            SymSeries(2, {(parts, 0): coeff})
+
+
 def test_monomial_product_concatenates():
     tp1 = SymSeries(3, {((1,), 1): Fraction(1)})
     assert tp1 * P((2,), 3) == SymSeries(3, {((2, 1), 1): Fraction(1)})
@@ -509,3 +517,130 @@ def test_sorted_terms_order():
 def test_by_degree_matches_homogeneous_parts():
     f = SymSeries.h(3, 5) + P((2, 2), 5, t=1) + SymSeries.one(5)
     assert f.by_degree() == {n: f.homogeneous_part(n) for n in f.degrees()}
+
+
+# -- integer-form arithmetic against a plain Fraction reference ---------------------
+
+
+def _ref_clean(terms, n_max):
+    return {tk: c for tk, c in terms.items() if c and sum(tk[0]) <= n_max}
+
+
+def _ref_add(a, b, n_max):
+    out = dict(a)
+    for tk, c in b.items():
+        out[tk] = out.get(tk, 0) + c
+    return _ref_clean(out, n_max)
+
+
+def _ref_mul(a, b, n_max):
+    out = {}
+    for (pa, ka), ca in a.items():
+        for (pb, kb), cb in b.items():
+            key = (tuple(sorted(pa + pb, reverse=True)), ka + kb)
+            out[key] = out.get(key, 0) + ca * cb
+    return _ref_clean(out, n_max)
+
+
+def _well_formed(s):
+    """The integer form's invariants: every degree held has rows, every row
+    is nonempty and free of zeros, every partition has its degree's size, and
+    every denominator is positive."""
+    for d, (den, rows) in s._int.items():
+        assert d <= s.n_max and den > 0 and rows
+        for parts, row in rows.items():
+            assert sum(parts) == d and row and all(row.values())
+    return s
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """A series and a second one, at a possibly different n_max, that shares
+    some of its terms with opposite signs, so that a sum cancels them."""
+    f = draw(series(n_max=draw(st.integers(2, 6))))
+    g = draw(series(n_max=draw(st.integers(2, 6))))
+    negated = draw(st.sets(st.sampled_from(sorted(f.terms, key=repr)))) if f else set()
+    terms = g.terms
+    terms.update({tk: -c for tk, c in f.terms.items() if tk in negated and sum(tk[0]) <= g.n_max})
+    return f, SymSeries(g.n_max, terms)
+
+
+@given(cancelling_pairs())
+@example((SymSeries.h(2, 4), -SymSeries.h(2, 5)))
+def test_integer_sum_and_difference_match_the_fraction_reference(pair):
+    f, g = pair
+    n_max = min(f.n_max, g.n_max)
+    assert _well_formed(f + g).terms == _ref_add(f.terms, g.terms, n_max)
+    assert _well_formed(f - g).terms == _ref_add(f.terms, (-g).terms, n_max)
+    assert _well_formed(-g).terms == {tk: -c for tk, c in g.terms.items()}
+    assert (f - f).is_zero() and not (f - f)._int
+    assert (f + g == g + f) and ((f - g) + g == f.truncate(n_max))
+
+
+@given(series(), st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
+def test_integer_scalar_product_matches_the_fraction_reference(f, c):
+    want = _ref_clean({tk: v * c for tk, v in f.terms.items()}, f.n_max)
+    assert _well_formed(f * c).terms == want
+    assert _well_formed(c * f).terms == want
+    assert _well_formed(f + c).terms == _ref_add(f.terms, {((), 0): Fraction(c)}, f.n_max)
+
+
+@given(series(), st.lists(st.fractions(-3, 3, max_denominator=3), max_size=3))
+@example(SymSeries(2, {((2,), 0): 1, ((1, 1), 0): 1}), [Fraction(-1), Fraction(1)])
+def test_integer_tpoly_product_matches_the_fraction_reference(f, coeffs):
+    poly = TPoly(coeffs)
+    want = {}
+    for (parts, k), v in f.terms.items():
+        for i, ci in enumerate(poly.coeffs):
+            want[(parts, k + i)] = want.get((parts, k + i), 0) + v * ci
+    assert _well_formed(f * poly).terms == _ref_clean(want, f.n_max)
+
+
+@given(cancelling_pairs())
+def test_integer_series_product_matches_the_fraction_reference(pair):
+    f, g = pair
+    n_max = min(f.n_max, g.n_max)
+    assert _well_formed(f * g).terms == _ref_mul(f.terms, g.terms, n_max)
+
+
+@given(series(), st.integers(1, 4))
+def test_integer_psi_matches_the_fraction_reference(f, k):
+    want = {
+        (tuple(k * p for p in parts), k * e): c
+        for (parts, e), c in f.terms.items()
+        if k * sum(parts) <= f.n_max
+    }
+    assert _well_formed(psi(k, f)).terms == want
+
+
+@given(cancelling_pairs())
+def test_integer_equality_matches_the_fraction_reference(pair):
+    f, g = pair
+    assert (f == g) == (f.n_max == g.n_max and f.terms == g.terms)
+    # the same terms over a scaled denominator are the same series
+    scaled = SymSeries._from_int(
+        f.n_max,
+        {d: (3 * den, {q: {k: 3 * v for k, v in row.items()} for q, row in rows.items()})
+         for d, (den, rows) in f._int.items()},
+    )
+    assert scaled == f and f == scaled
+    assert (scaled == g) == (f == g)
+
+
+@given(series(n_max=5, max_terms=3), inner_series(n_max=5))
+@example(SymSeries.h(2, 4), SymSeries.h(2, 4))
+@settings(max_examples=25)
+def test_plethysm_result_equals_the_series_built_from_its_terms(f, g):
+    """A plethysm is held over F * L^l * d!, not at its least denominator;
+    == reduces each degree, so it equals the same terms built afresh."""
+    r = plethysm(f, g)
+    rebuilt = SymSeries(r.n_max, r.terms)
+    assert r == rebuilt and rebuilt == r
+    assert (r - rebuilt).is_zero()
+    assert r != rebuilt + P((1,), r.n_max)
+
+
+def test_plethysm_of_h2_is_held_above_its_least_denominator():
+    r = plethysm(SymSeries.h(2, 4), SymSeries.h(2, 4))
+    den, _rows = r._int[4]
+    assert den == 48 and SymSeries(4, r.terms)._int[4][0] == 8
