@@ -37,6 +37,11 @@ norms, and each plethysm bounds its sums by the l1 norms of f's rows times
 those bounds.  W stays above every bound's bit length, so every coefficient
 unpacks as a balanced W-bit digit; a bound that does not fit widens the
 cache, and one past ``PlethysmCache.max_width`` raises ``ArithmeticError``.
+There, too, every cell is keyed by one int, the partition's multiplicity
+vector packed s bits to a part size (``PlethysmCache.key``), so the product
+of two cells is keyed by the sum of their keys: no tuple is built or sorted
+in the product loop, and each output cell is turned back into its partition
+once, at the end of ``plethysm``.
 """
 
 from __future__ import annotations
@@ -404,8 +409,8 @@ def _unpack(x: int, width: int) -> dict[int, int]:
     return row
 
 
-# An integer table: degree -> partition -> packed t-row.
-IntTable = dict[int, dict[Partition, int]]
+# An integer table: degree -> partition key (`PlethysmCache.key`) -> packed t-row.
+IntTable = dict[int, dict[int, int]]
 # Per degree of a table, a bound on the sum of the l1 norms of its t-rows.
 L1Bound = dict[int, int]
 
@@ -415,7 +420,8 @@ def _int_product(a: IntTable, b: IntTable, n_max: int) -> IntTable:
     degree-db piece picks up C(da + db, da), and nothing is divided.  Each
     pair of cells is one multiply-add of packed rows, exact whenever every
     coefficient of the result fits the width (see `PlethysmCache`).  Cells
-    that cancel to 0 stay in the table; plethysm drops them."""
+    that cancel to 0 stay in the table; plethysm drops them.  The key of a
+    product cell is the sum of its factors' keys (see `PlethysmCache`)."""
     acc: IntTable = {}
     for da, by_pa in a.items():
         for db, by_pb in b.items():
@@ -428,7 +434,7 @@ def _int_product(a: IntTable, b: IntTable, n_max: int) -> IntTable:
             for pa, ta in by_pa.items():
                 ta *= binom
                 for pb, tb in by_pb.items():
-                    q = merge(pa, pb)
+                    q = pa + pb
                     acc_d[q] = get(q, 0) + ta * tb
     return acc
 
@@ -469,6 +475,17 @@ class PlethysmCache:
     plethysm's bound needs 2.0 to 2.5 times the bits of the first psi image,
     n = 8..20, so a cache widens once after its first tables.)  A width past
     ``max_width`` bits raises ArithmeticError instead.
+
+    Each cell is keyed by an int, not by its partition: the key of lambda is
+    the sum of 2^(p * s) over its parts p, with s the bit length of
+    max(g.n_max, 1), so bits p*s to p*s + s - 1 hold the multiplicity of the
+    part p.  A cell of a table has size at most g.n_max, so each multiplicity
+    is at most g.n_max < 2^s, and ``_int_product`` forms only pairs whose
+    sizes sum to at most g.n_max: adding two keys never carries from one
+    field into the next, and the sum is the key of the merged partition.
+    Keys are made for the partitions the cache meets, psi images on the way
+    in and plethysm outputs on the way out (``partition`` decodes each once),
+    never for every partition up to g.n_max.
     """
 
     max_width = 1 << 16  # a packed row of k + 1 coefficients then takes (k + 1) * 8 KiB
@@ -488,10 +505,31 @@ class PlethysmCache:
                     # the least L making v / den * L * d! an integer
                     self.scale = lcm(self.scale, den // gcd(den, v * fact))
         self.width = 2
+        self.shift = max(g.n_max, 1).bit_length()  # s: bits per multiplicity in a key
+        self._parts: dict[int, Partition] = {}  # key -> partition, filled as keys are decoded
         self._psi: dict[int, IntTable] = {}
         self._psi_l1: dict[int, L1Bound] = {}
-        self._prod: dict[Partition, IntTable] = {(): {0: {(): 1}}}
+        self._prod: dict[Partition, IntTable] = {(): {0: {0: 1}}}
         self._prod_l1: dict[Partition, L1Bound] = {(): {0: 1}}
+
+    def key(self, parts: Partition) -> int:
+        """The int a cell of partition ``parts`` is keyed by."""
+        return sum(1 << (p * self.shift) for p in parts)
+
+    def partition(self, key: int) -> Partition:
+        """The partition keyed by ``key``, decoded once and remembered."""
+        parts = self._parts.get(key)
+        if parts is None:
+            shift = self.shift
+            mask = (1 << shift) - 1
+            ascending = []
+            rest, p = key, 0
+            while rest:
+                rest >>= shift
+                p += 1
+                ascending += [p] * (rest & mask)
+            parts = self._parts[key] = tuple(reversed(ascending))
+        return parts
 
     def fit(self, bound: int):
         """Make every coefficient of absolute value <= bound a W-bit digit,
@@ -515,13 +553,14 @@ class PlethysmCache:
         """psi(k, g) at scale L * d!, truncated at g.n_max."""
         table = self._psi.get(k)
         if table is None:
-            rows: dict[int, Rows] = {}
+            rows: dict[int, dict[int, dict[int, int]]] = {}  # degree -> key -> t-row
             for d, (den, g_rows) in self._g_rows.items():
                 if k * d > self.g.n_max:
                     continue
                 fact = factorial(k * d)
                 for parts, row in g_rows.items():
                     q = tuple(k * p for p in parts)
+                    cell = rows.setdefault(k * d, {}).setdefault(self.key(q), {})
                     for e, v in row.items():
                         # the term v / den t^(k e) p_q of psi(k, g)
                         n, rem = divmod(v * self.scale * fact, den)
@@ -530,7 +569,7 @@ class PlethysmCache:
                                 f"term {Fraction(v, den)} t^{k * e} p_{q} of psi_{k} of the inner"
                                 f" series does not scale to an integer: times {self.scale} * {k * d}!"
                             )
-                        rows.setdefault(k * d, {}).setdefault(q, {})[k * e] = n
+                        cell[k * e] = n
             l1 = {
                 d: sum(abs(n) for row in by_q.values() for n in row.values())
                 for d, by_q in rows.items()
@@ -565,6 +604,8 @@ def plethysm(f: SymSeries, g: SymSeries, cache: PlethysmCache | None = None) -> 
     into every cell of its product table, and each output cell is unpacked
     once; the terms of degree d are integers over F * L^l * d!, l the longest
     partition of f.  The cache is first widened to the l1 bound of the sums.
+    The sums are keyed like the cache's cells, and an output cell's key is
+    decoded to its partition by the cache, which remembers each one.
     """
     if cache is None or cache.g is not g:
         cache = PlethysmCache(g)
@@ -596,9 +637,10 @@ def plethysm(f: SymSeries, g: SymSeries, cache: PlethysmCache | None = None) -> 
             for q, cell in by_q.items():
                 acc_d[q] = get(q, 0) + x * cell
     form: dict[int, tuple[int, Rows]] = {}
+    partition = cache.partition
     for d in list(acc):
         cells = acc.pop(d)  # freed degree by degree as it is unpacked
-        out = {q: _unpack(x, width) for q, x in cells.items() if x}
+        out = {partition(q): _unpack(x, width) for q, x in cells.items() if x}
         if out:
             form[d] = (den_f * cache.scale**longest * factorial(d), out)
     return SymSeries._from_int(n_max, form)

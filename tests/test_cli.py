@@ -422,7 +422,7 @@ def test_verify_reports_a_kernel_error_and_runs_on(capsys, monkeypatch):
     class CorruptedCache(PlethysmCache):
         def __init__(self, g):
             super().__init__(g)
-            self.psi_table(1)[2][(2,)] += 1  # packed: bit 0 holds the t^0 coefficient
+            self.psi_table(1)[2][self.key((2,))] += 1  # packed: bit 0 holds the t^0 coefficient
 
     monkeypatch.setattr(solver, "PlethysmCache", CorruptedCache)
     solver.solved_series.cache_clear()
@@ -513,6 +513,28 @@ def test_stdout_matches_pinned_digest(capsys, command):
     code, out = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT_SHA256[command]
+
+
+def test_table_at_degree_16_matches_its_pinned_digest(capsys, monkeypatch):
+    """One run past the cap pins every coefficient through n = 16 for later
+    kernel work; the solution it prints also agrees with the Stirling route."""
+    monkeypatch.setattr(cli, "MAX_N", 16)
+    solved = []
+
+    def recording_solve_B(*args):
+        solved.append(solve_B(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(solver, "solve_B", recording_solve_B)
+    code, out = run_cli(capsys, "table", "--max-n", "16")
+    assert code == 0
+    # sha256 of the stdout when the plethysm kernel still keyed its cells by
+    # partition tuples
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "ea11079d983b7b48b4f72ab36ef3bf7aba4130868bebd6c1bc9b6642edd69b60"
+    )
+    assert solver.hnum_from_solver(solved[0]) == solver.hnum_stirling(16)
 
 
 def test_table_builds_no_character_table(capsys, monkeypatch):

@@ -177,7 +177,7 @@ def test_solve_on_a_corrupted_kernel_raises_on_the_tminus1_division(monkeypatch)
     class CorruptedCache(PlethysmCache):
         def __init__(self, g):
             super().__init__(g)
-            self.psi_table(1)[2][(2,)] += 1  # packed: bit 0 holds the t^0 coefficient
+            self.psi_table(1)[2][self.key((2,))] += 1  # packed: bit 0 holds the t^0 coefficient
 
     monkeypatch.setattr(solver, "PlethysmCache", CorruptedCache)
     with pytest.raises(ValueError, match=r"nonzero remainder .* p_\(2, 1\) \(degree 3\)"):

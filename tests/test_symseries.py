@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from braidchow.partitions import partitions_of
+from braidchow.partitions import merge, partitions_of
 from braidchow.symseries import (
     PlethysmCache,
     SymSeries,
@@ -398,6 +398,31 @@ def test_integer_form_splits_and_reads_like_its_terms(f, g):
 def test_plethysm_right_identity():
     f = SymSeries.h(4, 5) + P((2, 1), 5, t=1)
     assert plethysm(f, P((1,), 5)) == f
+
+
+# -- partition keys ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 12, 20])
+def test_partition_keys_add_like_merges_and_decode(n_max):
+    cache = PlethysmCache(SymSeries.zero(n_max))
+    by_size = [partitions_of(d) for d in range(n_max + 1)]
+    keys = {lam: cache.key(lam) for lams in by_size for lam in lams}
+    for da in range(n_max + 1):
+        for db in range(n_max - da + 1):
+            for a in by_size[da]:
+                for b in by_size[db]:
+                    assert keys[a] + keys[b] == keys[merge(a, b)], (a, b)
+    assert all(cache.partition(key) == lam for lam, key in keys.items())
+
+
+def test_a_cache_decodes_only_the_keys_it_meets():
+    # the largest spot identity: p_6 o p_6 = p_36, with p(36) = 17,977
+    # partitions of the top degree alone
+    g = SymSeries.p(6, 36)
+    cache = PlethysmCache(g)
+    assert plethysm(SymSeries.p(6, 36), g, cache) == SymSeries.p(36)
+    assert cache._parts == {cache.key((36,)): (36,)}
 
 
 # -- frobenius characteristic ----------------------------------------------------
