@@ -6,8 +6,9 @@ The interesting objects live in:
   plethysm;
 - :mod:`braidchow.pointcounts` -- the open-curves input series from twisted
   point counts;
-- :mod:`braidchow.solver` -- the plethystic fixed-point solver and every
-  independent numerical route;
+- :mod:`braidchow.solver` -- the plethystic fixed-point solver;
+- :mod:`braidchow.numeric` -- the independent numerical routes to the rank
+  polynomials;
 - :mod:`braidchow.leveltrees` -- brute-force stratum sums over level trees;
 - :mod:`braidchow.cli` -- the command-line interface.
 
@@ -21,6 +22,10 @@ from importlib import import_module
 # public name -> the module that defines it
 _EXPORTS = {
     "GradedSeries": "graded",
+    "euler_chars": "numeric",
+    "hnum_bell": "numeric",
+    "hnum_lattice": "numeric",
+    "hnum_stirling": "numeric",
     "Partition": "partitions",
     "partitions_of": "partitions",
     "z_lambda": "partitions",
@@ -30,11 +35,7 @@ _EXPORTS = {
     "necklace": "pointcounts",
     "twisted_count": "pointcounts",
     "equivariant_table": "solver",
-    "euler_chars": "solver",
-    "hnum_bell": "solver",
     "hnum_from_solver": "solver",
-    "hnum_lattice": "solver",
-    "hnum_stirling": "solver",
     "level_filtration": "solver",
     "solve_B": "solver",
     "solved_series": "solver",

@@ -26,20 +26,12 @@ from .leveltrees import (
     level_tree_census,
     unprune,
 )
+from .numeric import euler_chars, hnum_bell, hnum_lattice, hnum_stirling
 from .partitions import partitions_of
 from .pointcounts import m_series, twisted_count
 from .reference import REFERENCE_TABLE
 from .serialize import schur_table_from_obj, schur_table_to_obj, series_from_obj, series_to_obj
-from .solver import (
-    euler_chars,
-    hnum_bell,
-    hnum_from_solver,
-    hnum_lattice,
-    hnum_stirling,
-    level_filtration,
-    solved_series,
-    verify_functional_equation,
-)
+from .solver import hnum_from_solver, level_filtration, solved_series, verify_functional_equation
 from .symseries import SymSeries, plethysm
 from .tpoly import TPoly, T_MINUS_ONE
 

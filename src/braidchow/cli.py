@@ -15,9 +15,9 @@ are emitted as exact strings.
 Each command imports the modules it computes with inside its own body; at
 module level this file loads only the standard library and ``serialize``.
 So ``--help`` and ``strata`` compile no solver, and ``numeric --method
-lattice`` no Schur expansion.  Names are bound by a plain ``from ... import``
-at call time, never cached here, so a rebinding of ``solver.solve_B`` and
-the like takes effect.
+lattice`` (or ``stirling`` or ``bell``) no plethysm engine.  Names are bound
+by a plain ``from ... import`` at call time, never cached here, so a
+rebinding of ``solver.solve_B`` and the like takes effect.
 """
 
 from __future__ import annotations
@@ -127,11 +127,13 @@ def cmd_table(args: argparse.Namespace, parser) -> int:
 
 
 def _numeric_tables(max_n: int, method: str) -> dict[str, dict]:
-    from .pointcounts import m_series
-    from .solver import hnum_bell, hnum_from_solver, hnum_lattice, hnum_stirling, solve_B
+    from .numeric import hnum_bell, hnum_lattice, hnum_stirling
 
     tables = {}
     if method in ("solve", "all"):
+        from .pointcounts import m_series
+        from .solver import hnum_from_solver, solve_B
+
         tables["solve"] = hnum_from_solver(solve_B(m_series(max_n)))
     if method in ("stirling", "all"):
         tables["stirling"] = hnum_stirling(max_n)
@@ -149,7 +151,7 @@ def _numeric_tables(max_n: int, method: str) -> dict[str, dict]:
 def cmd_numeric(args: argparse.Namespace, parser) -> int:
     _check_max_n(args.max_n, parser)
     _check_output(args.output)
-    from .solver import euler_chars
+    from .numeric import euler_chars
 
     tables = _numeric_tables(args.max_n, args.method)
     chi = euler_chars(args.max_n)

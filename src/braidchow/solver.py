@@ -19,28 +19,21 @@ The input series, the inner series G, every composed piece B_k o G and the
 returned components B_n all stay in the integer form of ``symseries``
 (unpacked rows over a denominator), so the solver builds no Fraction.
 
-Alongside the solver this module carries every independent numerical route
-to the rank polynomials H_n^num: the Stirling-number recursion, the partial
-Bell polynomial recursion, the set-partition-lattice recursion, and the rank
-specialization of the equivariant solution; plus the level filtration that
-rebuilds B stratum layer by stratum layer.
+Alongside the solver this module carries the rank specialization of the
+equivariant solution, one route to the rank polynomials H_n^num (the
+independent numerical routes are in ``numeric``), and the level filtration
+that rebuilds B stratum layer by stratum layer.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
-from math import comb, factorial, lcm
+from functools import lru_cache
+from math import lcm
 
-from .combinat import (
-    bell_partial,
-    omega_shifted,
-    set_partitions,
-    stirling_first_signed,
-    stirling_second,
-)
 from .graded import GradedSeries
+# re-exported because the benchmark's tracer looks these routes up here
+from .numeric import hnum_bell, hnum_lattice, hnum_stirling  # noqa: F401
 from .partitions import Partition
 from .pointcounts import m_series
 from .symseries import (
@@ -52,7 +45,7 @@ from .symseries import (
     plethysm,
     rk,
 )
-from .tpoly import TPoly, T, T_MINUS_ONE
+from .tpoly import TPoly, T
 
 
 def growth_series(M: GradedSeries) -> SymSeries:
@@ -212,70 +205,6 @@ def equivariant_table(n: int, B: GradedSeries | None = None) -> dict[Partition, 
     return schur_expand(B.component(n), n)
 
 
-# -- numerical routes --------------------------------------------------------
-
-
-def hnum_stirling(n_max: int) -> dict[int, TPoly]:
-    """Recursion via sums of first- times second-kind Stirling numbers."""
-    hnum: dict[int, TPoly] = {1: TPoly.const(1)}
-    for n in range(2, n_max + 1):
-        rhs = TPoly()
-        for k in range(1, n):
-            inner = TPoly(
-                [
-                    stirling_first_signed(n, j + k) * stirling_second(j + k, k)
-                    for j in range(0, n - k + 1)
-                ]
-            )
-            rhs = rhs + hnum[k] * inner
-        hnum[n] = rhs.divexact(T_MINUS_ONE)
-    return hnum
-
-
-def hnum_bell(n_max: int) -> dict[int, TPoly]:
-    """Recursion via partial Bell polynomials in omega_i(t - 1)."""
-    hnum: dict[int, TPoly] = {1: TPoly.const(1)}
-    for n in range(2, n_max + 1):
-        rhs = TPoly()
-        for k in range(1, n):
-            args = [omega_shifted(i) for i in range(1, n - k + 2)]
-            rhs = rhs + hnum[k] * bell_partial(n, k, args)
-        hnum[n] = rhs.divexact(T_MINUS_ONE)
-    return hnum
-
-
-def hnum_lattice(n_max: int) -> dict[int, TPoly]:
-    """Recursion by brute-force enumeration of set partitions of {1..n}.
-
-    Deliberately independent of the Bell-polynomial closed form: every set
-    partition contributes the product of omega_{block size}(t-1) over its
-    blocks.  The walk visits every partition, and the tally adds no Python
-    step per partition: a ``Counter`` counts the block sizes in block order,
-    packed by ``map`` alone into a ``bytes`` key (a tuple key would fill
-    CPython's tuple free lists, about 0.7 MB at n = 9), and the few distinct
-    keys are then folded into sorted shapes, so the polynomial product is
-    formed once per shape rather than once per partition."""
-    if n_max > 12:
-        raise ValueError("set-partition enumeration is capped at n_max = 12")
-    hnum: dict[int, TPoly] = {1: TPoly.const(1)}
-    for n in range(2, n_max + 1):
-        sizes = Counter(map(bytes, map(partial(map, len), set_partitions(range(1, n + 1)))))
-        shapes: Counter = Counter()
-        for key, count in sizes.items():
-            shapes[tuple(sorted(key))] += count
-        rhs = TPoly()
-        for shape, count in shapes.items():
-            k = len(shape)
-            if k == n:
-                continue  # the all-singletons partition is the excluded bottom flat
-            prod = TPoly.const(count)
-            for size in shape:
-                prod = prod * omega_shifted(size)
-            rhs = rhs + hnum[k] * prod
-        hnum[n] = rhs.divexact(T_MINUS_ONE)
-    return hnum
-
-
 def hnum_from_solver(B: GradedSeries) -> dict[int, TPoly]:
     """Rank specialization of the equivariant solution."""
     dims = rk(B.total())
@@ -283,14 +212,3 @@ def hnum_from_solver(B: GradedSeries) -> dict[int, TPoly]:
     hnum.update({n: poly for n, poly in dims.items() if n >= 2})
     return hnum
 
-
-def euler_chars(n_max: int) -> dict[int, int]:
-    """Total-dimension recursion:
-    chi_n = sum_{k<n} chi_k * C(n, k-1) * (n-k-1)! * (-1)^(n-k-1)."""
-    chi = {1: 1}
-    for n in range(2, n_max + 1):
-        chi[n] = sum(
-            chi[k] * comb(n, k - 1) * factorial(n - k - 1) * (-1) ** (n - k - 1)
-            for k in range(1, n)
-        )
-    return chi

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from braidchow import characters, checks, cli, combinat, leveltrees, solver
+from braidchow import characters, checks, cli, combinat, leveltrees, numeric, solver
 from braidchow.graded import GradedSeries
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
@@ -166,6 +166,15 @@ PACKAGE_MODULES = {
 } - {"braidchow.__init__", "braidchow.__main__"}
 # dataclasses brings inspect, ast, dis and tokenize, which no command needs
 NEVER_LOADED = {"dataclasses", "inspect"}
+# the solver and what it computes with, which the numeric routes do without
+NO_PLETHYSM_ENGINE = {
+    "braidchow.symseries",
+    "braidchow.solver",
+    "braidchow.pointcounts",
+    "braidchow.graded",
+    "braidchow.characters",
+    "braidchow.leveltrees",
+}
 
 
 def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
@@ -206,6 +215,12 @@ def test_an_import_loads_no_module_it_does_not_use(module, absent):
     assert module in loaded and not loaded & (absent | NEVER_LOADED)
 
 
+def test_the_package_numeric_routes_load_no_plethysm_engine():
+    routes = ", ".join(f"braidchow.{name}" for name in ("hnum_stirling", "hnum_bell", "hnum_lattice", "euler_chars"))
+    loaded = _modules_loaded_by(f"import braidchow\n{routes}")
+    assert "braidchow.numeric" in loaded and not loaded & (NO_PLETHYSM_ENGINE | NEVER_LOADED)
+
+
 @pytest.mark.parametrize(
     "argv, absent",
     [
@@ -218,7 +233,10 @@ def test_an_import_loads_no_module_it_does_not_use(module, absent):
                 "braidchow.pointcounts",
             },
         ),
-        ("numeric --max-n 6 --method lattice", {"braidchow.characters"}),
+        *(
+            (f"numeric --max-n 6 --method {method}", NO_PLETHYSM_ENGINE)
+            for method in ("lattice", "stirling", "bell")
+        ),
         ("numeric --max-n 4", set()),
         ("table --max-n 4", set()),
         ("m-series --max-n 4", set()),
@@ -534,7 +552,7 @@ def test_table_at_degree_16_matches_its_pinned_digest(capsys, monkeypatch):
         hashlib.sha256(out.encode()).hexdigest()
         == "ea11079d983b7b48b4f72ab36ef3bf7aba4130868bebd6c1bc9b6642edd69b60"
     )
-    assert solver.hnum_from_solver(solved[0]) == solver.hnum_stirling(16)
+    assert solver.hnum_from_solver(solved[0]) == numeric.hnum_stirling(16)
 
 
 def test_table_builds_no_character_table(capsys, monkeypatch):

@@ -16,7 +16,7 @@ from braidchow.leveltrees import (
     unprune,
     _make_node,
 )
-from braidchow.solver import hnum_stirling
+from braidchow.numeric import hnum_stirling
 from braidchow.tpoly import TPoly
 
 

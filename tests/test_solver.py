@@ -8,21 +8,18 @@ from math import factorial
 
 import pytest
 
-from braidchow import cli, solver, symseries
+from braidchow import cli, numeric, solver, symseries
 from braidchow.characters import schur_expand, schur_series
-from braidchow.combinat import omega_shifted, set_partitions
+from braidchow.combinat import omega_shifted, set_partition_sizes, set_partitions
 from braidchow.graded import GradedSeries
+from braidchow.numeric import euler_chars, hnum_bell, hnum_lattice, hnum_stirling
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
 from braidchow.serialize import series_to_obj
 from braidchow.solver import (
     equivariant_table,
-    euler_chars,
     growth_series,
-    hnum_bell,
     hnum_from_solver,
-    hnum_lattice,
-    hnum_stirling,
     level_filtration,
     solve_B,
     verify_functional_equation,
@@ -348,18 +345,23 @@ def test_lattice_shape_grouping_matches_per_partition_sum():
 
 def test_lattice_walks_every_set_partition(monkeypatch):
     walked = Counter()
-    original = solver.set_partitions
+    original = numeric.set_partition_sizes
 
-    def counting(elements):
-        elements = list(elements)
-        for blocks in original(elements):
-            walked[len(elements)] += 1
-            yield blocks
+    def counting(n):
+        for sizes in original(n):
+            walked[n] += 1
+            yield sizes
 
-    monkeypatch.setattr(solver, "set_partitions", counting)
+    monkeypatch.setattr(numeric, "set_partition_sizes", counting)
     hnum_lattice(10)
     bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]  # OEIS A000110
     assert walked == {n: bell[n] for n in range(2, 11)}
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_set_partition_sizes_walk_set_partitions_in_order(n):
+    walked = [tuple(map(len, p)) for p in set_partitions(range(1, n + 1))]
+    assert list(set_partition_sizes(n)) == walked
 
 
 def test_lattice_cap():
