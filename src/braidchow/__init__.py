@@ -3,7 +3,8 @@
 The interesting objects live in:
 
 - :mod:`braidchow.symseries` -- truncated symmetric functions over Q[t] and
-  plethysm;
+  plethysm; ``SymSeries`` is the one series type, from the input series M
+  to the solution B;
 - :mod:`braidchow.pointcounts` -- the open-curves input series from twisted
   point counts;
 - :mod:`braidchow.solver` -- the plethystic fixed-point solver;
@@ -21,7 +22,6 @@ from importlib import import_module
 
 # public name -> the module that defines it
 _EXPORTS = {
-    "GradedSeries": "graded",
     "euler_chars": "numeric",
     "hnum_bell": "numeric",
     "hnum_lattice": "numeric",
@@ -29,7 +29,6 @@ _EXPORTS = {
     "Partition": "partitions",
     "partitions_of": "partitions",
     "z_lambda": "partitions",
-    "MSeries": "pointcounts",
     "m_component": "pointcounts",
     "m_series": "pointcounts",
     "necklace": "pointcounts",

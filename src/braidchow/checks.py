@@ -213,7 +213,7 @@ def check_structural(n_max: int, schur_max: int):
 def check_level_filtration(n_max: int):
     M = m_series(n_max)
     layers = level_filtration(M)
-    if layers[0].components != M.components:
+    if layers[0] != M:
         raise CheckFailed("first filtration layer differs from input")
     if sum(layers[1:], layers[0]) != solved_series(n_max):
         raise CheckFailed("filtration layers do not sum to the solution")

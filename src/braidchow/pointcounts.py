@@ -13,10 +13,13 @@ with one point pinned; purity lets q double as the grading variable t.
 The counts are built on integers: d * necklace(d) is an integer polynomial,
 so each twisted count is a product of integer lists, and its division by
 q(q - 1) is a shift and a synthetic division, checked to leave no
-remainder.  The series is held in integer form (``SymSeries._from_int``):
-the term c / z_lambda of degree n is the numerator c * n! / z_lambda over
-n!, and each component is brought to its least denominator, so no Fraction
-is made until its terms are read.
+remainder.  The series is one ``SymSeries`` held in integer form
+(``SymSeries._from_int``): the term c / z_lambda of degree n is the
+numerator c * n! / z_lambda over n!, and each component is brought to its
+least denominator, so no Fraction is made until its terms are read.
+``m_series`` checks two invariants of every component as it builds the
+series: the t-degree of M_n is at most n - 2, and its rank polynomial is
+omega_n(t - 1) / (t - 1).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from functools import lru_cache
 from math import factorial
 
 from .combinat import omega_shifted
-from .graded import GradedSeries
 from .partitions import Partition, multiplicities, partitions_of, z_lambda
 from .symseries import SymSeries, _lowest_terms, rk
 from .tpoly import TPoly, T_MINUS_ONE
@@ -130,23 +132,23 @@ def m_component(n: int) -> SymSeries:
     return SymSeries._from_int(n, {n: _lowest_terms(fact, rows)})
 
 
-class MSeries(GradedSeries):
-    """Graded input series with components 2..n_max; invariants checked on build."""
-
-    def __init__(self, n_max: int, components: dict[int, SymSeries]):
-        super().__init__(n_max, components)
-        for n, comp in self.components.items():
-            if comp.t_degree() > n - 2:
-                raise ValueError(f"component {n} exceeds t-degree {n - 2}")
-            expected = omega_shifted(n).divexact(T_MINUS_ONE)
-            if rk(comp).get(n, TPoly()) != expected:  # n! [p_(1^n)] M_n
-                raise ValueError(f"component {n} fails the rank-polynomial invariant")
+def _check_component(n: int, comp: SymSeries):
+    """The invariants of the degree-n input component: t-degree at most
+    n - 2, and n! [p_(1^n)] M_n = omega_n(t - 1) / (t - 1)."""
+    if comp.t_degree() > n - 2:
+        raise ValueError(f"component {n} exceeds t-degree {n - 2}")
+    expected = omega_shifted(n).divexact(T_MINUS_ONE)
+    if rk(comp).get(n, TPoly()) != expected:
+        raise ValueError(f"component {n} fails the rank-polynomial invariant")
 
 
 @lru_cache(maxsize=None)
-def m_series(n_max: int) -> MSeries:
-    """Input series with components 2..n_max, cached per truncation degree:
-    every caller shares one series, whose components mapping is read-only."""
+def m_series(n_max: int) -> SymSeries:
+    """Input series with components 2..n_max, each checked on build, cached
+    per truncation degree: every caller shares one series."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    return MSeries(n_max, {n: m_component(n).truncate(n_max) for n in range(2, n_max + 1)})
+    M = SymSeries._from_int(n_max, {n: m_component(n)._int[n] for n in range(2, n_max + 1)})
+    for n, comp in M.components.items():
+        _check_component(n, comp)
+    return M

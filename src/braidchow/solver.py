@@ -1,7 +1,8 @@
 """Degreewise solution of the plethystic fixed-point equation.
 
-The equivariant Chow series B (one homogeneous component per n >= 2) is the
-unique solution of
+The equivariant Chow series B, one ``SymSeries`` whose homogeneous
+components B_n (n >= 2) are read off by ``B.component(n)``, is the unique
+solution of
 
     (h_1 + B) o (h_1 + (t - 1) M) = h_1 + t B,
 
@@ -16,8 +17,9 @@ remainder signals a fault in the plethysm or the solver itself, and the
 division doubles as error detection for them.  The right-hand side is summed,
 and divided, as integer numerators over one common denominator per degree.
 The input series, the inner series G, every composed piece B_k o G and the
-returned components B_n all stay in the integer form of ``symseries``
-(unpacked rows over a denominator), so the solver builds no Fraction.
+returned series B all stay in the integer form of ``symseries`` (unpacked
+rows over a denominator, one part per degree), so the solver builds no
+Fraction.
 
 Alongside the solver this module carries the rank specialization of the
 equivariant solution, one route to the rank polynomials H_n^num (the
@@ -29,9 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .graded import GradedSeries
 # re-exported because the benchmark's tracer looks these routes up here
 from .numeric import hnum_bell, hnum_lattice, hnum_stirling  # noqa: F401
 from .partitions import Partition
@@ -40,33 +40,31 @@ from .symseries import (
     PlethysmCache,
     Rows,
     SymSeries,
+    _add_parts,
     _lowest_terms,
-    _numerators,
     plethysm,
     rk,
 )
 from .tpoly import TPoly, T
 
 
-def growth_series(M: GradedSeries) -> SymSeries:
+def growth_series(M: SymSeries) -> SymSeries:
     """G = h_1 + (t - 1) M, the inner series of every composition here, in
     integer form: p_1 in degree 1, and (t - 1) times the numerators of M_n
     over their denominator in each degree n."""
     form = {1: (1, {(1,): {0: 1}})} if M.n_max >= 1 else {}
-    for n in sorted(M.components):
-        den, rows = _numerators(M.components[n], n)
+    for n, (den, rows) in sorted(M._int.items()):
         form[n] = (den, _times_tminus1(rows))
     return SymSeries._from_int(M.n_max, form)
 
 
-def _times_tminus1(rows: Rows, lift: int = 1) -> Rows:
-    """(t - 1) times integer rows, each numerator also multiplied by lift;
-    entries that cancel are dropped, and no nonzero row becomes empty."""
+def _times_tminus1(rows: Rows) -> Rows:
+    """(t - 1) times integer rows; entries that cancel are dropped, and no
+    nonzero row becomes empty."""
     out: Rows = {}
     for parts, row in rows.items():
         acc: dict[int, int] = {}
         for k, c in row.items():
-            c *= lift
             acc[k + 1] = acc.get(k + 1, 0) + c
             acc[k] = acc.get(k, 0) - c
         out[parts] = {k: c for k, c in acc.items() if c}
@@ -109,7 +107,7 @@ def _divexact_tminus1(s: SymSeries) -> SymSeries:
     return SymSeries._from_int(s.n_max, form)
 
 
-def solve_B(M: GradedSeries, n_max: int | None = None) -> GradedSeries:
+def solve_B(M: SymSeries, n_max: int | None = None) -> SymSeries:
     """Solve for B degree by degree; the n = 2 component comes out equal to
     the degree-2 input component rather than being imposed.
 
@@ -122,32 +120,24 @@ def solve_B(M: GradedSeries, n_max: int | None = None) -> GradedSeries:
         raise ValueError("input series is too short for the requested degree")
     G = growth_series(M)
     cache = PlethysmCache(G)
-    components: dict[int, SymSeries] = {}
-    composed: list[dict[int, SymSeries]] = []  # each B_k o G by degree, truncated at n_max
+    form: dict[int, tuple[int, Rows]] = {}
+    composed: list[dict[int, tuple[int, Rows]]] = []  # each B_k o G's integer form
     for n in range(2, n_max + 1):
-        den_m, m_rows = _numerators(M.component(n), n_max)
+        den_m, m_rows = M._int.get(n, (1, {}))
         # each piece is read once; popping it frees it before the next plethysm
-        pieces = [_numerators(by_deg.pop(n), n_max) for by_deg in composed if n in by_deg]
-        den = lcm(den_m, *(den_p for den_p, _rows in pieces))
-        rhs = _times_tminus1(m_rows, den // den_m)
-        for den_p, rows in pieces:
-            lift = den // den_p
-            for parts, row in rows.items():
-                acc = rhs.get(parts)
-                if acc is None:
-                    acc = rhs[parts] = {}
-                for k, v in row.items():
-                    acc[k] = acc.get(k, 0) + v * lift
+        pieces = [by_deg.pop(n) for by_deg in composed if n in by_deg]
+        den, rhs = _add_parts((den_m, _times_tminus1(m_rows)), *pieces)
         quotient = _rows_over_tminus1(rhs, den)
-        b_n = SymSeries._from_int(n_max, {n: _lowest_terms(den, quotient)} if quotient else {})
-        components[n] = b_n
-        if n < n_max:
-            composed.append(plethysm(b_n, G, cache).by_degree())
-    return GradedSeries(n_max, components)
+        if quotient:
+            form[n] = _lowest_terms(den, quotient)
+            if n < n_max:
+                b_n = SymSeries._from_int(n_max, {n: form[n]})
+                composed.append(plethysm(b_n, G, cache)._int)
+    return SymSeries._from_int(n_max, form)
 
 
 def verify_functional_equation(
-    B: GradedSeries, M: GradedSeries, cache: PlethysmCache | None = None
+    B: SymSeries, M: SymSeries, cache: PlethysmCache | None = None
 ) -> bool:
     """Recompute both sides of the fixed-point equation and compare.
 
@@ -161,40 +151,37 @@ def verify_functional_equation(
             raise ValueError("plethysm cache was built for a different input series")
         G = cache.g
     h1 = SymSeries.p(1, n_max)
-    lhs = plethysm((h1 + B.total()).truncate(n_max), G, cache)
-    rhs = (h1 + B.total() * T).truncate(n_max)
+    lhs = plethysm(h1 + B, G, cache)
+    rhs = h1 + B * T
     return lhs == rhs
 
 
-def level_filtration(M: GradedSeries) -> list[GradedSeries]:
+def level_filtration(M: SymSeries) -> list[SymSeries]:
     """Stratum layers by number of levels: the first layer is M itself and
 
         (t - 1) * layer_{k+1} = layer_k o G - layer_k,
 
     with exact division.  Stops at the first layer that vanishes through
     M.n_max; their sum is the full solution."""
-    n_max = M.n_max
-    G = growth_series(M).truncate(n_max)
+    G = growth_series(M)
     cache = PlethysmCache(G)
-    layers: list[GradedSeries] = []
-    current = GradedSeries(n_max, dict(M.components))
-    while not current.is_zero():
-        if len(layers) > n_max:
+    layers: list[SymSeries] = []
+    current = M
+    while current:
+        if len(layers) > M.n_max:
             raise ArithmeticError("filtration failed to terminate; input is corrupted")
         layers.append(current)
-        total = current.total()
-        nxt = _divexact_tminus1(plethysm(total, G, cache) - total)
-        current = GradedSeries.split(nxt)
+        current = _divexact_tminus1(plethysm(current, G, cache) - current)
     return layers
 
 
 @lru_cache(maxsize=None)
-def solved_series(n_max: int) -> GradedSeries:
+def solved_series(n_max: int) -> SymSeries:
     """Input construction plus solver, cached per truncation degree."""
     return solve_B(m_series(n_max), n_max)
 
 
-def equivariant_table(n: int, B: GradedSeries | None = None) -> dict[Partition, TPoly]:
+def equivariant_table(n: int, B: SymSeries | None = None) -> dict[Partition, TPoly]:
     """Schur coefficients of the degree-n solution component."""
     from .characters import schur_expand
 
@@ -205,9 +192,9 @@ def equivariant_table(n: int, B: GradedSeries | None = None) -> dict[Partition, 
     return schur_expand(B.component(n), n)
 
 
-def hnum_from_solver(B: GradedSeries) -> dict[int, TPoly]:
+def hnum_from_solver(B: SymSeries) -> dict[int, TPoly]:
     """Rank specialization of the equivariant solution."""
-    dims = rk(B.total())
+    dims = rk(B)
     hnum = {1: TPoly.const(1)}
     hnum.update({n: poly for n, poly in dims.items() if n >= 2})
     return hnum

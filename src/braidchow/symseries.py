@@ -6,7 +6,9 @@ and coefficients are exact rationals.  Every series carries a truncation
 degree ``n_max``: terms whose partition size exceeds it are discarded eagerly
 by all operations, so a series is a faithful representative of its image in
 the quotient by symmetric-function degree > n_max.  t-exponents are never
-truncated.
+truncated.  The terms of degree d are the homogeneous component of degree d
+(``component(d)``; all of them: ``components``), so a graded series such as
+the input series M or the solution B = sum_n B_n is one SymSeries.
 
 The power-sum basis is the canonical internal form because both plethysm and
 the Frobenius characteristic are diagonal there; complete homogeneous and
@@ -174,12 +176,14 @@ class SymSeries:
             return TPoly()
         return TPoly([ratio(row.get(i, 0), den) for i in range(max(row) + 1)])
 
-    def homogeneous_part(self, n: int) -> "SymSeries":
-        """Terms of symmetric-function degree exactly n (keeps n_max)."""
+    def component(self, n: int) -> "SymSeries":
+        """The homogeneous component of degree n, B_n of B (keeps n_max)."""
         return SymSeries._from_int(self.n_max, {n: self._int[n]} if n in self._int else {})
 
-    def by_degree(self) -> dict[int, "SymSeries"]:
-        """Every homogeneous part, keyed by degree."""
+    @property
+    def components(self) -> dict[int, "SymSeries"]:
+        """Every nonzero homogeneous component, keyed by degree, in a new
+        dict built on each read: changing it leaves the series as it is."""
         return {d: SymSeries._from_int(self.n_max, {d: part}) for d, part in self._int.items()}
 
     def degrees(self) -> set[int]:
@@ -293,25 +297,26 @@ def _numerators(s: SymSeries, n_max: int) -> tuple[int, Rows]:
     return den, rows
 
 
-def _add_parts(a: tuple[int, Rows], b: tuple[int, Rows]) -> tuple[int, Rows]:
-    """The sum of two parts of one degree, over the lcm of their
-    denominators; entries and rows that cancel are dropped."""
-    den = lcm(a[0], b[0])
-    lift_a, lift_b = den // a[0], den // b[0]
-    rows = {q: {k: v * lift_a for k, v in row.items()} for q, row in a[1].items()}
-    for q, row in b[1].items():
-        acc = rows.get(q)
-        if acc is None:
-            rows[q] = {k: v * lift_b for k, v in row.items()}
-            continue
-        for k, v in row.items():
-            v = acc.get(k, 0) + v * lift_b
-            if v:
-                acc[k] = v
-            else:
-                del acc[k]
-        if not acc:
-            del rows[q]
+def _add_parts(*parts: tuple[int, Rows]) -> tuple[int, Rows]:
+    """The sum of parts of one degree, over the lcm of their denominators;
+    entries and rows that cancel are dropped."""
+    den = lcm(*(den_p for den_p, _rows in parts))
+    rows: Rows = {}
+    for den_p, rows_p in parts:
+        lift = den // den_p
+        for q, row in rows_p.items():
+            acc = rows.get(q)
+            if acc is None:
+                rows[q] = {k: v * lift for k, v in row.items()}
+                continue
+            for k, v in row.items():
+                v = acc.get(k, 0) + v * lift
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+            if not acc:
+                del rows[q]
     return den, rows
 
 
@@ -492,7 +497,7 @@ class PlethysmCache:
 
     def __init__(self, g: SymSeries):
         # g's integer numerators by degree, d -> (D, rows)
-        self._g_rows = {d: _numerators(part, d) for d, part in g.by_degree().items()}
+        self._g_rows = g._int
         _den, rows_0 = self._g_rows.get(0, (1, {}))
         if rows_0.get((), {}).get(0):
             raise ValueError("inner series of a plethysm must have no constant term")

@@ -13,7 +13,6 @@ from math import factorial
 
 from braidchow import checks
 from braidchow.characters import schur_series
-from braidchow.graded import GradedSeries
 from braidchow.leveltrees import epoly_Bn, level_tree_census
 from braidchow.pointcounts import m_series
 from braidchow.solver import (
@@ -60,9 +59,7 @@ def test_criterion_2_functional_equation(capsys):
         cache = PlethysmCache(growth_series(M10))
         for n in range(2, 11):
             bump = schur_series((n,), 10) * TPoly((0, 1))
-            comps = {k: B10.component(k) for k in range(2, 11)}
-            comps[n] = comps[n] + bump
-            assert not verify_functional_equation(GradedSeries(10, comps), M10, cache), n
+            assert not verify_functional_equation(B10 + bump, M10, cache), n
 
 
 def test_criterion_3_four_route_agreement(capsys):

@@ -8,7 +8,13 @@ from braidchow import pointcounts
 from braidchow.characters import schur_expand
 from braidchow.combinat import omega_shifted
 from braidchow.partitions import multiplicities, partitions_of, z_lambda
-from braidchow.pointcounts import MSeries, m_component, m_series, necklace, twisted_count
+from braidchow.pointcounts import (
+    _check_component,
+    m_component,
+    m_series,
+    necklace,
+    twisted_count,
+)
 from braidchow.symseries import SymSeries, rk
 from braidchow.tpoly import T_MINUS_ONE, TPoly
 
@@ -159,11 +165,20 @@ def test_m4_rank_polynomial():
 def test_m_series_checks_its_invariants_on_either_form():
     # the integer form the series is built in, and the same terms as Fractions
     for comp in (m_component(4), SymSeries(4, m_component(4).terms)):
-        assert MSeries(4, {4: comp}).component(4) == comp
+        _check_component(4, comp)
         with pytest.raises(ValueError, match="rank-polynomial invariant"):
-            MSeries(4, {4: comp * 2})
+            _check_component(4, comp * 2)
         with pytest.raises(ValueError, match="exceeds t-degree 2"):
-            MSeries(4, {4: comp * TPoly((0, 1))})
+            _check_component(4, comp * TPoly((0, 1)))
+
+
+def test_m_series_checks_every_component(monkeypatch):
+    seen = []
+    monkeypatch.setattr(pointcounts, "_check_component", lambda n, comp: seen.append((n, comp)))
+    M = m_series.__wrapped__(5)  # past the cache, so the series is built here
+    assert isinstance(M, SymSeries)
+    assert seen == list(M.components.items())
+    assert [n for n, _comp in seen] == [2, 3, 4, 5]
 
 
 def test_m_series_components():

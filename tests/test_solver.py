@@ -11,7 +11,6 @@ import pytest
 from braidchow import cli, numeric, solver, symseries
 from braidchow.characters import schur_expand, schur_series
 from braidchow.combinat import omega_shifted, set_partition_sizes, set_partitions
-from braidchow.graded import GradedSeries
 from braidchow.numeric import euler_chars, hnum_bell, hnum_lattice, hnum_stirling
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
@@ -22,6 +21,7 @@ from braidchow.solver import (
     hnum_from_solver,
     level_filtration,
     solve_B,
+    solved_series,
     verify_functional_equation,
 )
 from braidchow.symseries import PlethysmCache, SymSeries, _numerators
@@ -134,9 +134,9 @@ def test_functional_equation_minimal_truncation():
 def test_solve_any_input_series():
     """Not only the point counts: an input whose denominators differ from
     those of the composed pieces is solved too, and B_2 equals M_2."""
-    M = GradedSeries(
-        6,
-        {n: SymSeries(6, {((n,), 0): 1, ((1,) * n, 1): Fraction(1, 3)}) for n in range(2, 7)},
+    M = sum(
+        (SymSeries(6, {((n,), 0): 1, ((1,) * n, 1): Fraction(1, 3)}) for n in range(2, 7)),
+        SymSeries.zero(6),
     )
     B = solve_B(M)
     assert verify_functional_equation(B, M)
@@ -146,19 +146,31 @@ def test_solve_any_input_series():
 def test_perturbation_breaks_equation(B8, M8):
     cache = PlethysmCache(growth_series(M8))
     s4t = schur_series((4,), 8) * TPoly((0, 1))
-    perturbed = GradedSeries(
-        8, {n: B8.component(n) + (s4t if n == 4 else SymSeries.zero(8)) for n in range(2, 9)}
-    )
-    assert not verify_functional_equation(perturbed, M8, cache)
+    assert not verify_functional_equation(B8 + s4t, M8, cache)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_any_component_perturbation_detected(B8, M8, n):
     cache = PlethysmCache(growth_series(M8))
     bump = schur_series((n,), 8) * TPoly((0, 1))
-    comps = {k: B8.component(k) for k in range(2, 9)}
-    comps[n] = comps[n] + bump
-    assert not verify_functional_equation(GradedSeries(8, comps), M8, cache)
+    assert not verify_functional_equation(B8 + bump, M8, cache)
+
+
+def test_the_series_routes_return_one_symseries(M8, B8):
+    assert isinstance(M8, SymSeries) and isinstance(B8, SymSeries)
+    assert all(isinstance(layer, SymSeries) for layer in level_filtration(M8))
+
+
+@pytest.mark.parametrize("cached", [m_series, solved_series])
+def test_changing_the_components_leaves_a_cached_series_as_it_is(cached):
+    series = cached(6)
+    terms = series.terms
+    comps = series.components
+    comps[2] = comps.pop(3)
+    comps[7] = SymSeries.h(7)
+    comps.clear()
+    assert cached(6) is series
+    assert series.terms == terms and set(series.components) == set(range(2, 7))
 
 
 def test_solve_rejects_short_input(M8):
@@ -182,7 +194,7 @@ def test_solve_on_a_corrupted_kernel_raises_on_the_tminus1_division(monkeypatch)
 
 
 def test_growth_series_on_integers_matches_the_fraction_route(M8):
-    assert growth_series(M8) == SymSeries.p(1, 8) + M8.total() * T_MINUS_ONE
+    assert growth_series(M8) == SymSeries.p(1, 8) + M8 * T_MINUS_ONE
 
 
 def test_solve_builds_no_fraction_for_a_composed_piece(monkeypatch):
@@ -247,7 +259,7 @@ def test_tminus1_division_is_exact_or_loud():
 
 def test_filtration_first_layer_is_input(M8):
     layers = level_filtration(M8)
-    assert layers[0].components == M8.components
+    assert layers[0] == M8
 
 
 def test_filtration_sums_to_solution(B8, M8):

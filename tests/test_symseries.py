@@ -11,6 +11,7 @@ from braidchow.partitions import merge, partitions_of
 from braidchow.symseries import (
     PlethysmCache,
     SymSeries,
+    _add_parts,
     _fractions,
     _numerators,
     _pack,
@@ -114,7 +115,7 @@ def exp_oracle_h(n):
     for k in range(1, n + 1):
         power = power * s
         ex = ex + power * Fraction(1, factorial(k))
-    return ex.homogeneous_part(n)
+    return ex.component(n)
 
 
 def test_h1_is_p1():
@@ -392,7 +393,7 @@ def test_integer_form_splits_and_reads_like_its_terms(f, g):
     for n_max in (6, 3):
         den, rows = _numerators(s, n_max)
         assert _fractions(rows, den) == {tk: c for tk, c in s.terms.items() if sum(tk[0]) <= n_max}
-    assert s.by_degree() == {n: s.homogeneous_part(n) for n in s.degrees()}
+    assert s.components == {n: s.component(n) for n in s.degrees()}
 
 
 def test_plethysm_right_identity():
@@ -523,11 +524,11 @@ def test_rk_respects_plethysm(f, g):
 # -- misc structure ----------------------------------------------------------------
 
 
-def test_homogeneous_parts_partition_the_series():
+def test_components_partition_the_series():
     f = SymSeries.h(3, 5) + P((2, 2), 5, t=1) + SymSeries.one(5)
     rebuilt = SymSeries.zero(5)
     for n in sorted(f.degrees()):
-        part = f.homogeneous_part(n)
+        part = f.component(n)
         assert part.is_homogeneous(n)
         rebuilt = rebuilt + part
     assert rebuilt == f
@@ -539,9 +540,10 @@ def test_sorted_terms_order():
     assert keys == [((), 0), ((3,), 0), ((3,), 1), ((2, 1), 0), ((1, 1, 1), 0)]
 
 
-def test_by_degree_matches_homogeneous_parts():
+def test_components_match_component():
     f = SymSeries.h(3, 5) + P((2, 2), 5, t=1) + SymSeries.one(5)
-    assert f.by_degree() == {n: f.homogeneous_part(n) for n in f.degrees()}
+    assert f.components == {n: f.component(n) for n in f.degrees()}
+    assert not f.component(5) and f.component(5).n_max == 5
 
 
 # -- integer-form arithmetic against a plain Fraction reference ---------------------
@@ -600,6 +602,30 @@ def test_integer_sum_and_difference_match_the_fraction_reference(pair):
     assert _well_formed(-g).terms == {tk: -c for tk, c in g.terms.items()}
     assert (f - f).is_zero() and not (f - f)._int
     assert (f + g == g + f) and ((f - g) + g == f.truncate(n_max))
+
+
+def test_add_parts_sums_many_parts_over_different_denominators():
+    """Three parts of degree 3 over the denominators 2, 6 and 5: the second
+    cancels the t^0 entry of p_3 and the whole row of p_(2, 1), and the third
+    brings the row of p_(2, 1) back."""
+    parts = [
+        (2, {(3,): {0: 1, 1: 1}, (2, 1): {0: 3}}),
+        (6, {(3,): {0: -3}, (2, 1): {0: -9}, (1, 1, 1): {2: 1}}),
+        (5, {(2, 1): {1: 2, 0: 1}}),
+    ]
+    expected: dict = {}
+    for den, rows in parts:
+        for q, row in rows.items():
+            for k, v in row.items():
+                expected[(q, k)] = expected.get((q, k), 0) + Fraction(v, den)
+    expected = {tk: c for tk, c in expected.items() if c}
+    den, rows = _add_parts(*parts)
+    assert den == 30
+    assert _fractions(rows, den) == expected
+    assert all(row and all(row.values()) for row in rows.values())
+    assert set(rows) == {q for q, _k in expected}
+    # the parts are read, not changed
+    assert parts[0] == (2, {(3,): {0: 1, 1: 1}, (2, 1): {0: 3}})
 
 
 @given(series(), st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
