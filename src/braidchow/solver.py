@@ -9,14 +9,15 @@ solution of
 where M is the open-curves input series and o is plethysm.  In each degree n
 the equation linearizes to
 
-    (t - 1) B_n = (t - 1) M_n + sum_{k=2}^{n-1} [B_k o G]_n,    G = h_1 + (t-1) M,
+    B_n = M_n + S_n / (t - 1),    S_n = [B_<n o G]_n = sum_{k=2}^{n-1} [B_k o G]_n,
 
-and exact division by (t - 1) must leave no remainder.  At t = 1 the inner
-series G is h_1, so the division is exact for every input series; a nonzero
-remainder signals a fault in the plethysm or the solver itself, and the
-division doubles as error detection for them.  The right-hand side is summed,
-and divided, as integer numerators over one common denominator per degree.
-The input series, the inner series G, every composed piece B_k o G and the
+with G = h_1 + (t - 1) M and B_<n = B_2 + ... + B_{n-1}, and the division by
+(t - 1) must be exact.  At t = 1 the inner series G is h_1, so the division
+is exact for every input series; a nonzero remainder signals a fault in the
+plethysm or the solver itself, and the division doubles as error detection
+for them.  S_n is one plethysm of degree n, summed for every k at once in
+one packed accumulator, and divided as integer numerators over its
+denominator.  The input series, the inner series G, every S_n and the
 returned series B all stay in the integer form of ``symseries`` (unpacked
 rows over a denominator, one part per degree), so the solver builds no
 Fraction.
@@ -108,12 +109,15 @@ def _divexact_tminus1(s: SymSeries) -> SymSeries:
 
 
 def solve_B(M: SymSeries, n_max: int | None = None) -> SymSeries:
-    """Solve for B degree by degree; the n = 2 component comes out equal to
-    the degree-2 input component rather than being imposed.
+    """Solve for B degree by degree: B_n = M_n + S_n / (t - 1), with
+    S_n = [B_<n o G]_n.  Nothing is imposed at n = 2: B_<2 is zero, so
+    B_2 = M_2 by the same rule.
 
-    Each right-hand side (t - 1) M_n + sum_k [B_k o G]_n is summed as
-    integer numerators over one common denominator and divided by (t - 1)
-    there; each B_n is held in integer form at its least denominator."""
+    S_n is one plethysm call of degree n on a snapshot of the components
+    solved so far, one packed accumulator for every k < n; it is divided by
+    (t - 1) as integer numerators over its denominator, a nonzero remainder
+    raising ValueError, and added to M_n.  Each B_n is held in integer form
+    at its least denominator."""
     if n_max is None:
         n_max = M.n_max
     if n_max > M.n_max:
@@ -121,18 +125,18 @@ def solve_B(M: SymSeries, n_max: int | None = None) -> SymSeries:
     G = growth_series(M)
     cache = PlethysmCache(G)
     form: dict[int, tuple[int, Rows]] = {}
-    composed: list[dict[int, tuple[int, Rows]]] = []  # each B_k o G's integer form
     for n in range(2, n_max + 1):
-        den_m, m_rows = M._int.get(n, (1, {}))
-        # each piece is read once; popping it frees it before the next plethysm
-        pieces = [by_deg.pop(n) for by_deg in composed if n in by_deg]
-        den, rhs = _add_parts((den_m, _times_tminus1(m_rows)), *pieces)
-        quotient = _rows_over_tminus1(rhs, den)
-        if quotient:
-            form[n] = _lowest_terms(den, quotient)
-            if n < n_max:
-                b_n = SymSeries._from_int(n_max, {n: form[n]})
-                composed.append(plethysm(b_n, G, cache)._int)
+        parts = [M._int[n]] if n in M._int else []
+        if form:
+            below = SymSeries._from_int(n_max, dict(form))  # B_<n, a copy: form gains B_n below
+            s_n = plethysm(below, G, cache, degree=n)._int.get(n)
+            if s_n:
+                den_s, rows_s = s_n
+                parts.append((den_s, _rows_over_tminus1(rows_s, den_s)))
+        if parts:
+            den, rows = _add_parts(*parts)
+            if rows:
+                form[n] = _lowest_terms(den, rows)
     return SymSeries._from_int(n_max, form)
 
 

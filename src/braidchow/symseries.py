@@ -426,7 +426,9 @@ def _int_product(a: IntTable, b: IntTable, n_max: int) -> IntTable:
     pair of cells is one multiply-add of packed rows, exact whenever every
     coefficient of the result fits the width (see `PlethysmCache`).  Cells
     that cancel to 0 stay in the table; plethysm drops them.  The key of a
-    product cell is the sum of its factors' keys (see `PlethysmCache`)."""
+    product cell is the sum of its factors' keys (see `PlethysmCache`).  b's
+    cells run in the outer loop, so each is scaled by the binomial once: in
+    `PlethysmCache.product` b is a psi image, which has the fewer cells."""
     acc: IntTable = {}
     for da, by_pa in a.items():
         for db, by_pb in b.items():
@@ -436,9 +438,9 @@ def _int_product(a: IntTable, b: IntTable, n_max: int) -> IntTable:
             binom = comb(d, da)
             acc_d = acc.setdefault(d, {})
             get = acc_d.get
-            for pa, ta in by_pa.items():
-                ta *= binom
-                for pb, tb in by_pb.items():
+            for pb, tb in by_pb.items():
+                tb *= binom
+                for pa, ta in by_pa.items():
                     q = pa + pb
                     acc_d[q] = get(q, 0) + ta * tb
     return acc
@@ -600,7 +602,9 @@ class PlethysmCache:
         return table
 
 
-def plethysm(f: SymSeries, g: SymSeries, cache: PlethysmCache | None = None) -> SymSeries:
+def plethysm(
+    f: SymSeries, g: SymSeries, cache: PlethysmCache | None = None, degree: int | None = None
+) -> SymSeries:
     """Plethysm f o g: substitute p_k -> psi(k, g); t-powers of f are scalars.
 
     g must have no constant term.  The result is truncated at
@@ -611,30 +615,41 @@ def plethysm(f: SymSeries, g: SymSeries, cache: PlethysmCache | None = None) -> 
     partition of f.  The cache is first widened to the l1 bound of the sums.
     The sums are keyed like the cache's cells, and an output cell's key is
     decoded to its partition by the cache, which remembers each one.
+
+    With ``degree`` = d the result is the degree-d component of f o g alone:
+    only the degree-d cells of each product table are multiplied, the bound
+    is summed over degree d only, and only the degree-d sums are unpacked.
+    A degree outside 0..min(f.n_max, g.n_max) raises ValueError.
     """
     if cache is None or cache.g is not g:
         cache = PlethysmCache(g)
     n_max = min(f.n_max, g.n_max)
+    if degree is not None and not 0 <= degree <= n_max:
+        raise ValueError(f"degree {degree} is outside the truncation 0..{n_max} of the plethysm")
     den_f, rows = _numerators(f, n_max)
     longest = max(map(len, rows), default=0)
     lifts = {parts: cache.scale ** (longest - len(parts)) for parts in rows}
-    tables = {parts: cache.product(parts) for parts in rows}
+    degrees = range(n_max + 1) if degree is None else range(degree, degree + 1)
+    # each row's nonempty product-table cells of the output degrees; fit
+    # repacks their dicts in place, so they stay the cache's cells
+    picked = {
+        parts: [(d, by_q) for d, by_q in cache.product(parts).items() if d in degrees and by_q]
+        for parts in rows
+    }
     bound: L1Bound = {}
     for parts, row in rows.items():
         norm = sum(map(abs, row.values())) * lifts[parts]
-        for d, s in cache._prod_l1[parts].items():
-            if d <= n_max:
-                bound[d] = bound.get(d, 0) + norm * s
+        l1 = cache._prod_l1[parts]
+        for d, _by_q in picked[parts]:
+            bound[d] = bound.get(d, 0) + norm * l1[d]
     cache.fit(max(bound.values(), default=0))  # repacks the tables in place
     width = cache.width
     acc: IntTable = {}
     for parts, row in rows.items():
-        x = None
-        for d, by_q in tables[parts].items():
-            if d > n_max:
-                continue
-            if x is None:  # packed only if it meets a cell: only then does the bound cover it
-                x = _pack(row, width) * lifts[parts]
+        if not picked[parts]:  # packed only if it meets a cell: only then does the bound cover it
+            continue
+        x = _pack(row, width) * lifts[parts]
+        for d, by_q in picked[parts]:
             acc_d = acc.get(d)
             if acc_d is None:
                 acc_d = acc[d] = {}

@@ -24,7 +24,7 @@ from braidchow.solver import (
     solved_series,
     verify_functional_equation,
 )
-from braidchow.symseries import PlethysmCache, SymSeries, _numerators
+from braidchow.symseries import PlethysmCache, SymSeries, _numerators, plethysm
 from braidchow.tpoly import T_MINUS_ONE, TPoly
 
 
@@ -191,6 +191,34 @@ def test_solve_on_a_corrupted_kernel_raises_on_the_tminus1_division(monkeypatch)
     monkeypatch.setattr(solver, "PlethysmCache", CorruptedCache)
     with pytest.raises(ValueError, match=r"nonzero remainder .* p_\(2, 1\) \(degree 3\)"):
         solve_B(m_series(5))
+
+
+def test_solve_matches_the_route_of_one_plethysm_per_component():
+    """Each B_n = M_n + sum_{k<n} [B_k o G]_n / (t - 1), with every piece
+    B_k o G composed whole and its degree-n component read off."""
+    M = m_series(10)
+    G = growth_series(M)
+    cache = PlethysmCache(G)
+    B = SymSeries.zero(10)
+    for n in range(2, 11):
+        pieces = [plethysm(B.component(k), G, cache).component(n) for k in range(2, n)]
+        B = B + M.component(n) + solver._divexact_tminus1(sum(pieces, SymSeries.zero(10)))
+    assert solve_B(M) == B
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 8, 12])
+def test_solve_makes_one_plethysm_call_per_degree(monkeypatch, n_max):
+    """The benchmark's tracer counts `symseries.plethysm` calls through the
+    name `solver.plethysm`: degrees 3..n_max, one call each."""
+    degrees = []
+
+    def counted(f, g, cache=None, degree=None):
+        degrees.append(degree)
+        return plethysm(f, g, cache, degree)
+
+    monkeypatch.setattr(solver, "plethysm", counted)
+    solve_B(m_series(n_max))
+    assert degrees == list(range(3, n_max + 1))
 
 
 def test_growth_series_on_integers_matches_the_fraction_route(M8):

@@ -401,6 +401,30 @@ def test_plethysm_right_identity():
     assert plethysm(f, P((1,), 5)) == f
 
 
+@given(series(n_max=6, max_terms=4), st.one_of(inner_series(n_max=5), odd_inner_series()))
+@example(SymSeries.h(3, 6) + P((2, 1), 6, t=1), SymSeries.h(2, 6) + P((1,), 6, t=1))
+@settings(max_examples=40)
+def test_a_plethysm_of_one_degree_is_that_component_of_the_whole(f, g):
+    """The degree-d call, on a cache that the other degrees' calls widened
+    first, gives the degree-d component of the whole plethysm."""
+    cache = PlethysmCache(g)
+    n_max = min(f.n_max, g.n_max)
+    by_degree = [plethysm(f, g, cache, degree=d) for d in range(n_max + 1)]
+    whole = plethysm(f, g, cache)
+    for d, part in enumerate(by_degree):
+        assert part == whole.component(d), d
+        assert part.degrees() <= {d}
+
+
+@pytest.mark.parametrize("degree", [-1, 5, 6])
+def test_a_plethysm_rejects_a_degree_outside_its_truncation(degree):
+    f = SymSeries.h(3, 6) + P((2, 1), 6, t=1)
+    g = SymSeries.h(1, 4) + P((2,), 4, t=1)  # min(f.n_max, g.n_max) = 4
+    with pytest.raises(ValueError, match=rf"degree {degree} is outside"):
+        plethysm(f, g, degree=degree)
+    assert plethysm(f, g, degree=4) == plethysm(f, g).component(4) != SymSeries.zero(4)
+
+
 # -- partition keys ------------------------------------------------------------------
 
 
