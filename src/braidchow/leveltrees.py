@@ -192,35 +192,41 @@ class LevelTree:
         if top == 0:
             raise ValueError("cannot prune a single-level tree")
         subsets: list[tuple[int, ...]] = []
-
-        def collect(node: Node):
-            _level, marks, children = node
-            for m in marks:
-                if m != 0:
-                    subsets.append((m,))
-            for child in children:
-                if child[0] == top:
-                    subsets.append(tuple(sorted(child[1])))
-                else:
-                    collect(child)
-
-        collect(self.root)
+        _pruned_labels(self.root, top, subsets)
         order = sorted(subsets)
         relabel = {subset: i + 1 for i, subset in enumerate(order)}
+        return LevelTree(_pruned(self.root, top, relabel)), tuple(order)
 
-        def rebuild(node: Node) -> Node:
-            level, marks, children = node
-            new_marks = [0] if 0 in marks else []
-            new_marks += [relabel[(m,)] for m in marks if m != 0]
-            new_children = []
-            for child in children:
-                if child[0] == top:
-                    new_marks.append(relabel[tuple(sorted(child[1]))])
-                else:
-                    new_children.append(rebuild(child))
-            return _make_node(level, new_marks, new_children)
 
-        return LevelTree(rebuild(self.root)), tuple(order)
+# Pruning's two walks are module-level functions rather than closures: a
+# recursive closure holds a reference cycle through its own cell, which only
+# the cyclic garbage collector frees, and the CLI runs with that collector off.
+
+
+def _pruned_labels(node: Node, top: int, subsets: list):
+    # what each new marking stands for: a kept marking, or a top vertex's block
+    _level, marks, children = node
+    for m in marks:
+        if m != 0:
+            subsets.append((m,))
+    for child in children:
+        if child[0] == top:
+            subsets.append(tuple(sorted(child[1])))
+        else:
+            _pruned_labels(child, top, subsets)
+
+
+def _pruned(node: Node, top: int, relabel: dict) -> Node:
+    level, marks, children = node
+    new_marks = [0] if 0 in marks else []
+    new_marks += [relabel[(m,)] for m in marks if m != 0]
+    new_children = []
+    for child in children:
+        if child[0] == top:
+            new_marks.append(relabel[tuple(sorted(child[1]))])
+        else:
+            new_children.append(_pruned(child, top, relabel))
+    return _make_node(level, new_marks, new_children)
 
 
 def unprune(tree: LevelTree, assignment: tuple[tuple[int, ...], ...]) -> LevelTree:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -83,6 +84,49 @@ def test_series_from_obj_rejects_bad_t(t):
     with pytest.raises(ValueError, match="term") as exc:
         series_from_obj({"n": 2, "terms": [term]})
     assert repr(term) in str(exc.value)
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.text(), st.integers()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table --max-n 8",
+        "table --max-n 8 --basis p",
+        "numeric --max-n 8",
+        "m-series --max-n 8",
+        "strata --n 5",
+        "strata --n 5 --count-only",
+    ],
+)
+def test_json_writer_matches_json_dumps_on_each_payload(capsys, monkeypatch, argv):
+    payloads = []
+    writer = cli._json
+
+    def recording_json(obj):
+        payloads.append(obj)
+        return writer(obj)
+
+    monkeypatch.setattr(cli, "_json", recording_json)
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0 and len(payloads) == 1
+    assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [1.5, True, None, (1, 2), {1: "a"}, ["a", {"b": [0.5]}]], ids=repr)
+def test_json_writer_rejects_what_no_payload_holds(obj):
+    with pytest.raises(TypeError):
+        cli._json(obj)
 
 
 # -- table command -------------------------------------------------------------------
@@ -175,7 +219,7 @@ NO_PLETHYSM_ENGINE = {
 }
 
 
-def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def _python(*args: str, stdout=subprocess.PIPE, text=True) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on ``args``, importing braidchow from src."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -183,7 +227,7 @@ def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
         env=dict(os.environ, PYTHONPATH=path),
         stdout=stdout,
         stderr=subprocess.PIPE,
-        text=True,
+        text=text,
         timeout=60,
     )
 
@@ -264,6 +308,76 @@ def test_a_failed_stdout_write_exits_2_with_one_line(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("braidchow: error: cannot write stdout: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", ["table --max-n 6", "numeric --max-n 6 --format csv", "verify --max-n 3"])
+def test_the_entry_point_prints_what_main_prints(capsys, argv):
+    proc = _python("-m", "braidchow", *argv.split(), text=False)
+    code, out = run_cli(capsys, *argv.split())
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
+
+
+@pytest.mark.parametrize("argv", ["table --max-n 99", "tabel", "strata --n 4 --output {missing}"])
+def test_the_entry_point_exits_2_on_usage_errors(tmp_path, argv):
+    proc = _python("-m", "braidchow", *argv.format(missing=tmp_path / "no" / "x.json").split())
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+def test_only_the_entry_point_changes_the_collector():
+    # in-process callers (the tests, the tracer, the benchmark's set-up
+    # sample) keep the collector as they had it
+    state = "sys.stderr.write(f'{gc.isenabled()} {gc.get_freeze_count()}\\n')\n"
+    proc = _python(
+        "-c",
+        "import gc, sys\nfrom braidchow import cli\n" + state
+        + "cli.main(['strata', '--n', '4'])\n" + state
+        + "cli.run(['strata', '--n', '4'])\n" + state,
+        stdout=subprocess.DEVNULL,
+    )
+    after_import, after_main, after_run = proc.stderr.splitlines()
+    assert after_import == after_main == "True 0"
+    enabled, frozen = after_run.split()
+    assert enabled == "False" and int(frozen) > 0
+
+
+def test_the_console_script_is_what_python_m_runs(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["braidchow"]
+    module, name = target.split(":")
+    assert module == "braidchow.cli"
+    monkeypatch.setattr(cli, name, lambda: 7)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("braidchow", run_name="__main__")
+    assert exc.value.code == 7
+
+
+# The entry point runs with the cyclic collector off, which is safe only while
+# a run leaves almost no garbage in reference cycles.  At 258-313 objects each,
+# the leftovers are argparse's and the import system's; a cycle made in a hot
+# loop (a recursive closure per call, say) reaches thousands.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table --max-n 12",
+        "verify --max-n 8",
+        "strata --n 6",
+        "numeric --max-n 9 --method lattice",
+        "m-series --max-n 12",
+    ],
+)
+def test_a_run_leaves_little_cyclic_garbage(argv):
+    proc = _python(
+        "-c",
+        "import gc, sys\ngc.disable()\nfrom braidchow import cli\n"
+        f"code = cli.main({argv.split()!r})\n"
+        "sys.stderr.write(f'{code} {gc.collect()}')",
+        stdout=subprocess.DEVNULL,
+    )
+    code, cyclic = proc.stderr.split()
+    assert code == "0" and int(cyclic) < 1000
 
 
 def test_output_check_neither_creates_nor_truncates(tmp_path):
