@@ -1,5 +1,10 @@
+import gc
 import sys
 
-from .cli import run
+# off before the first braidchow import, so loading the command's modules
+# runs no collection either (see cli.run)
+gc.disable()
+
+from .cli import run  # noqa: E402
 
 sys.exit(run())

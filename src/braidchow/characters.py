@@ -22,7 +22,6 @@ for it (`checks`, tests).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
 
@@ -129,6 +128,8 @@ def character_table(n: int) -> CharacterTable:
 
 def schur_series(lam: Partition, n_max: int | None = None) -> SymSeries:
     """The Schur function s_lam in the power-sum basis."""
+    from fractions import Fraction
+
     n = sum(lam)
     if n_max is None:
         n_max = n

@@ -13,14 +13,17 @@ fails, 2 on usage errors and on output that cannot be written.  All numbers
 are emitted as exact strings.
 
 Each command imports the modules it computes with inside its own body; at
-module level this file loads only the standard library and ``serialize``.
-So ``--help`` and ``strata`` compile no solver, and ``numeric --method
-lattice`` (or ``stirling`` or ``bell``) no plethysm engine.  Names are bound
-by a plain ``from ... import`` at call time, never cached here, so a
-rebinding of ``solver.solve_B`` and the like takes effect.
+module level this file loads only ``argparse``, ``errno``, ``gc``, ``os``,
+``sys`` and ``serialize``.  So ``--help`` and ``strata`` compile no solver,
+``numeric --method lattice`` (or ``stirling`` or ``bell``) no plethysm
+engine, and ``table`` neither ``numeric`` nor ``combinat``; no command that
+builds no Fraction loads ``fractions`` or ``json``.  Names are bound by a
+plain ``from ... import`` at call time, never cached here, so a rebinding of
+``solver.solve_B`` and the like takes effect.
 
-A process starts at `run`, which turns the cyclic garbage collector off;
-`main` leaves it as it finds it.
+A process starts at `run`, which turns the cyclic garbage collector off
+(``python -m braidchow`` turns it off before its first import); `main`
+leaves it as it finds it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import errno
 import gc
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 
 from . import serialize
 
@@ -96,11 +98,23 @@ def _emit(text: str, output: str | None):
         _write_stdout(text if text.endswith("\n") else text + "\n")
 
 
+def _quote(s: str) -> str:
+    """``json.dumps(s)``.  Printable ASCII with no quote or backslash, which
+    every key and rational string of a payload is, needs no escape; any
+    other string goes through the routine ``json.dumps`` uses, so ``json`` is
+    loaded only for a string that needs it."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(s)
+
+
 def _json(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for payloads of lists,
     dicts with str keys, strs and ints.  ``json.dumps`` with an indent always
     takes the pure-Python encoder; this writer does the same work in fewer
-    steps, and quotes strings with the C routine ``json.dumps`` uses."""
+    steps without loading ``json``, and quotes strings with `_quote`."""
     chunks: list[str] = []
     _put_json(obj, "\n", chunks.append)
     return "".join(chunks)

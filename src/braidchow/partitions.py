@@ -34,19 +34,22 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return ((),)
-    out = []
-
-    def gen(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            gen(remaining - part, part, prefix)
-            prefix.pop()
-
-    gen(n, n, [])
+    out: list[Partition] = []
+    _extend(n, n, [], out)
     return tuple(out)
+
+
+def _extend(remaining: int, cap: int, prefix: list[int], out: list[Partition]):
+    """Append to out, in reverse lexicographic order, prefix followed by each
+    partition of remaining with parts at most cap.  A module-level function,
+    not a closure, so a call leaves no reference cycle behind."""
+    if remaining == 0:
+        out.append(tuple(prefix))
+        return
+    for part in range(min(cap, remaining), 0, -1):
+        prefix.append(part)
+        _extend(remaining - part, part, prefix, out)
+        prefix.pop()
 
 
 def multiplicities(parts: Partition) -> dict[int, int]:

@@ -11,27 +11,26 @@ graded character of the moduli of distinct points on the projective line
 with one point pinned; purity lets q double as the grading variable t.
 
 The counts are built on integers: d * necklace(d) is an integer polynomial,
-so each twisted count is a product of integer lists, and its division by
-q(q - 1) is a shift and a synthetic division, checked to leave no
-remainder.  The series is one ``SymSeries`` held in integer form
-(``SymSeries._from_int``): the term c / z_lambda of degree n is the
-numerator c * n! / z_lambda over n!, and each component is brought to its
-least denominator, so no Fraction is made until its terms are read.
+so each twisted count is a product of integer lists, built from the count of
+the partition without its last part, and its division by q(q - 1) is a
+shift and a synthetic division, checked to leave no remainder.  The series
+is one ``SymSeries`` held in integer form (``SymSeries._from_int``): the
+term c / z_lambda of degree n is the numerator c * n! / z_lambda over n!,
+and each component is brought to its least denominator, so no Fraction is
+made until its terms are read.
 ``m_series`` checks two invariants of every component as it builds the
 series: the t-degree of M_n is at most n - 2, and its rank polynomial is
-omega_n(t - 1) / (t - 1).
+omega_n(t - 1) / (t - 1) = (t - 2)(t - 3)...(t - n + 1).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .combinat import omega_shifted
-from .partitions import Partition, multiplicities, partitions_of, z_lambda
+from .partitions import Partition, partitions_of, z_lambda
 from .symseries import SymSeries, _lowest_terms, rk
-from .tpoly import TPoly, T_MINUS_ONE
+from .tpoly import TPoly
 
 
 def _mobius(n: int) -> int:
@@ -69,24 +68,36 @@ def necklace(d: int) -> TPoly:
     The coefficients are rational (e.g. (q^2 - q)/2 at d = 2); only the
     values at prime powers are integers.
     """
+    from fractions import Fraction
+
     return TPoly(Fraction(c, d) for c in _d_necklace(d))
 
 
-def _twisted_coeffs(lam: Partition) -> list[int]:
+@lru_cache(maxsize=None)
+def _twisted(lam: Partition) -> tuple[int, ...]:
     """Integer coefficients, lowest degree first, of the twisted count of lam:
-    the product over part sizes d and i < m_d of d*necklace(d) - d*i."""
-    poly = [1]
-    for d, m in multiplicities(lam).items():
-        factor = list(_d_necklace(d))
-        for i in range(m):
-            factor[0] = -d * i
-            out = [0] * (len(poly) + d)
-            for j, a in enumerate(poly):
-                if a:
-                    for k, b in enumerate(factor):
-                        out[j + k] += a * b
-            poly = out
-    return poly
+    the product over part sizes d and i < m_d of d*necklace(d) - d*i.  Built
+    from the count of lam without its last part d, times the one factor that
+    part adds, d*necklace(d) - d*i with i the parts d before it; partitions
+    that share a prefix share its product."""
+    if not lam:
+        return (1,)
+    head, d = lam[:-1], lam[-1]
+    factor = list(_d_necklace(d))
+    factor[0] = -d * head.count(d)
+    poly = _twisted(head)
+    out = [0] * (len(poly) + d)
+    for j, a in enumerate(poly):
+        if a:
+            for k, b in enumerate(factor):
+                if b:
+                    out[j + k] += a * b
+    return tuple(out)
+
+
+def _twisted_coeffs(lam: Partition) -> list[int]:
+    """The coefficients of the twisted count of lam, as a new list."""
+    return list(_twisted(lam))
 
 
 def twisted_count(lam: Partition) -> TPoly:
@@ -134,10 +145,13 @@ def m_component(n: int) -> SymSeries:
 
 def _check_component(n: int, comp: SymSeries):
     """The invariants of the degree-n input component: t-degree at most
-    n - 2, and n! [p_(1^n)] M_n = omega_n(t - 1) / (t - 1)."""
+    n - 2, and n! [p_(1^n)] M_n = omega_n(t - 1) / (t - 1), the product of
+    (t - j) for j = 2..n - 1."""
     if comp.t_degree() > n - 2:
         raise ValueError(f"component {n} exceeds t-degree {n - 2}")
-    expected = omega_shifted(n).divexact(T_MINUS_ONE)
+    expected = TPoly((1,))
+    for j in range(2, n):
+        expected = expected * TPoly((-j, 1))
     if rk(comp).get(n, TPoly()) != expected:
         raise ValueError(f"component {n} fails the rank-polynomial invariant")
 

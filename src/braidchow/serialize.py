@@ -9,13 +9,14 @@ so output is byte-deterministic for a fixed input.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .partitions import Partition, is_partition
 from .tpoly import TPoly, check_exponent, format_poly
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .symseries import SymSeries
 
 
@@ -41,6 +42,8 @@ def _exact(value, what: str) -> Fraction:
     """An exact coefficient: an int (not a bool) or a rational string such as
     "3" or "-1/2".  Floats, decimal strings and anything else raise ValueError
     naming ``what``."""
+    from fractions import Fraction
+
     if type(value) is int:
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
@@ -91,7 +94,7 @@ def series_from_obj(obj: dict, n_max: int | None = None) -> SymSeries:
         if sum(parts) > n_max:
             raise ValueError(f"{what}: partition sums past {n_max}")
         key = (parts, check_exponent(t, what))
-        terms[key] = terms.get(key, Fraction(0)) + _exact(coeff, what)
+        terms[key] = terms.get(key, 0) + _exact(coeff, what)
     return SymSeries(n_max, terms)
 
 

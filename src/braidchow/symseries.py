@@ -48,11 +48,14 @@ once, at the end of ``plethysm``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from typing import TYPE_CHECKING
 
 from .partitions import Partition, check_partition, merge, partitions_of, z_lambda
-from .tpoly import TPoly, check_exponent, exact, ratio
+from .tpoly import TPoly, check_exponent, exact, is_fraction, ratio
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Term = tuple[Partition, int]
 
@@ -163,6 +166,8 @@ class SymSeries:
         return not self
 
     def coefficient(self, parts: Partition, k: int) -> Fraction:
+        from fractions import Fraction
+
         parts = tuple(parts)
         den, rows = self._int.get(sum(parts), (1, {}))
         return Fraction(rows.get(parts, {}).get(k, 0), den)
@@ -205,7 +210,7 @@ class SymSeries:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "SymSeries":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or is_fraction(other):
             other = SymSeries(self.n_max, {((), 0): other})
         if not isinstance(other, SymSeries):
             return NotImplemented
@@ -234,7 +239,7 @@ class SymSeries:
         return self + (-other if isinstance(other, SymSeries) else -exact(other, "scalar"))
 
     def __mul__(self, other) -> "SymSeries":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or is_fraction(other):
             other = exact(other, "scalar")
             if not other:
                 return SymSeries.zero(self.n_max)
@@ -331,6 +336,8 @@ def _lowest_terms(den: int, rows: Rows) -> tuple[int, Rows]:
 
 def _fractions(rows: Rows, den: int) -> dict[Term, Fraction]:
     """Terms of integer rows over the denominator den, zero entries dropped."""
+    from fractions import Fraction
+
     return {(q, k): Fraction(v, den) for q, row in rows.items() for k, v in row.items() if v}
 
 
@@ -572,6 +579,8 @@ class PlethysmCache:
                         # the term v / den t^(k e) p_q of psi(k, g)
                         n, rem = divmod(v * self.scale * fact, den)
                         if rem:
+                            from fractions import Fraction
+
                             raise ArithmeticError(
                                 f"term {Fraction(v, den)} t^{k * e} p_{q} of psi_{k} of the inner"
                                 f" series does not scale to an integer: times {self.scale} * {k * d}!"

@@ -8,17 +8,30 @@ coefficients, stratum sums -- never build a Fraction.  There is no floating
 point anywhere: ``exact`` is the one rule that admits a scalar (an int or a
 Fraction, never a bool, float or string), ``check_exponent`` the one that
 admits a t-exponent, and ``symseries`` and ``serialize`` apply them too.
+``fractions`` is imported only where a Fraction is built, and a type test
+for one (``is_fraction``) needs no import, so a run that builds none never
+loads it.
 Instances are immutable: coefficients live in a tuple with the trailing
 zeros stripped, so equality and hashing are structural.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from numbers import Number
-from typing import Iterable, Union
+import sys
+from typing import TYPE_CHECKING, Iterable
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Scalar = int | Fraction
+
+
+def is_fraction(x) -> bool:
+    """True iff x is a Fraction.  None can exist before ``fractions`` is
+    loaded, so a process that builds none never imports it (nor ``decimal``
+    and ``numbers``, which it brings)."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
 
 
 def exact(c, what: str = "coefficient") -> Scalar:
@@ -27,7 +40,7 @@ def exact(c, what: str = "coefficient") -> Scalar:
     float, a string, ...) raises ValueError naming ``what`` and the value."""
     if type(c) is int:
         return c
-    if isinstance(c, Fraction):
+    if is_fraction(c):
         return c.numerator if c.denominator == 1 else c
     raise ValueError(f"{what} must be an int or a Fraction, got {c!r}")
 
@@ -43,8 +56,12 @@ def ratio(a: Scalar, b: Scalar) -> Scalar:
     """a / b exactly, in normal form: an int when b divides a.  b is nonzero."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return exact(Fraction(a, b))
+        if not r:
+            return q
+    from fractions import Fraction  # only for a quotient that is not an int
+
+    c = Fraction(a, b)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _strip(coeffs: list) -> tuple[Scalar, ...]:
@@ -216,7 +233,11 @@ def _coerce(x) -> "TPoly | None":
     operation itself."""
     if isinstance(x, TPoly):
         return x
-    if type(x) is int or isinstance(x, (Number, str, bytes)):
+    if type(x) is int:
+        return TPoly((x,))
+    from numbers import Number  # only here: an int operand loads nothing
+
+    if isinstance(x, (Number, str, bytes)):
         return TPoly((exact(x, "scalar"),))
     return None
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from braidchow import characters, checks, cli, combinat, leveltrees, numeric, solver
 from braidchow.pointcounts import m_series
@@ -123,6 +124,17 @@ def test_json_writer_matches_json_dumps_on_each_payload(capsys, monkeypatch, arg
     assert out == json.dumps(payloads[0], indent=2) + "\n"
 
 
+# every code point, lone surrogates included
+@given(st.text(st.characters(blacklist_categories=())))
+@example("")
+@example('say "1/2" \\ t')
+@example("\x00\x1f\t\n\x7f")
+@example("s_λ \u2028 \U0001f600")
+@example("\ud800 \udfff")
+def test_quote_matches_json_dumps(s):
+    assert cli._quote(s) == json.dumps(s)
+
+
 @pytest.mark.parametrize("obj", [1.5, True, None, (1, 2), {1: "a"}, ["a", {"b": [0.5]}]], ids=repr)
 def test_json_writer_rejects_what_no_payload_holds(obj):
     with pytest.raises(TypeError):
@@ -209,6 +221,9 @@ PACKAGE_MODULES = {
 } - {"braidchow.__init__", "braidchow.__main__"}
 # dataclasses brings inspect, ast, dis and tokenize, which no command needs
 NEVER_LOADED = {"dataclasses", "inspect"}
+# a process that builds no Fraction and quotes only plain ASCII loads none of
+# these (fractions brings decimal and numbers)
+NO_FRACTIONS_OR_JSON = {"fractions", "decimal", "numbers", "json"}
 # the solver and what it computes with, which the numeric routes do without
 NO_PLETHYSM_ENGINE = {
     "braidchow.symseries",
@@ -217,6 +232,8 @@ NO_PLETHYSM_ENGINE = {
     "braidchow.characters",
     "braidchow.leveltrees",
 }
+# the Schur table needs no numeric route, no Stirling number and no Fraction
+TABLE_NEVER_LOADS = {"braidchow.numeric", "braidchow.combinat"} | NO_FRACTIONS_OR_JSON
 
 
 def _python(*args: str, stdout=subprocess.PIPE, text=True) -> subprocess.CompletedProcess:
@@ -246,8 +263,11 @@ def _modules_loaded_by(code: str) -> set[str]:
         (
             "braidchow.cli",
             PACKAGE_MODULES
-            - {"braidchow.cli", "braidchow.serialize", "braidchow.partitions", "braidchow.tpoly"},
+            - {"braidchow.cli", "braidchow.serialize", "braidchow.partitions", "braidchow.tpoly"}
+            | NO_FRACTIONS_OR_JSON,
         ),
+        # the numeric routes are read from numeric only when asked for
+        ("braidchow.solver", {"braidchow.numeric", "braidchow.combinat"} | NO_FRACTIONS_OR_JSON),
         # the package loads its exported names on first access
         ("braidchow.reference", {"braidchow.symseries", "braidchow.solver", "braidchow.tpoly"}),
     ],
@@ -262,6 +282,66 @@ def test_every_exported_name_resolves_in_a_fresh_interpreter():
     # would otherwise fail only when someone first reads it
     proc = _python("-c", "import braidchow\nfor name in braidchow.__all__: getattr(braidchow, name)")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["hnum_stirling", "hnum_bell", "hnum_lattice"])
+def test_solver_reads_each_numeric_route_from_numeric(name):
+    assert getattr(solver, name) is getattr(numeric, name)
+    # read on each access, never bound in solver
+    assert name not in vars(solver)
+
+
+def test_solver_names_only_the_numeric_routes_it_reads():
+    with pytest.raises(AttributeError, match="has no attribute 'hnum_nothing'"):
+        solver.hnum_nothing
+
+
+# In an interpreter without fractions, each rule raises what it raised when
+# Fraction was imported at module level.
+@pytest.mark.parametrize(
+    "expr, error",
+    [
+        ("exact(True)", "ValueError: coefficient must be an int or a Fraction, got True"),
+        ("exact(1.5)", "ValueError: coefficient must be an int or a Fraction, got 1.5"),
+        ("TPoly((1,)) + 0.5", "ValueError: scalar must be an int or a Fraction, got 0.5"),
+        (
+            "SymSeries.p(1) + True",
+            "ValueError: term () t^0: coefficient must be an int or a Fraction, got True",
+        ),
+        ("SymSeries.p(1) * True", "ValueError: scalar must be an int or a Fraction, got True"),
+        (
+            "SymSeries.p(1) * 1.5",
+            "TypeError: unsupported operand type(s) for *: 'SymSeries' and 'float'",
+        ),
+        (
+            "SymSeries.p(1) + 1.5",
+            "TypeError: unsupported operand type(s) for +: 'SymSeries' and 'float'",
+        ),
+    ],
+)
+def test_scalar_rules_hold_before_fractions_is_loaded(expr, error):
+    proc = _python(
+        "-c",
+        "import sys\n"
+        "from braidchow.symseries import SymSeries\n"
+        "from braidchow.tpoly import TPoly, exact\n"
+        "assert 'fractions' not in sys.modules\n"
+        f"try:\n    {expr}\n"
+        "except Exception as exc:\n    print(f'{type(exc).__name__}: {exc}')\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == error
+
+
+def test_a_fraction_scales_a_series_once_the_caller_loads_fractions():
+    proc = _python(
+        "-c",
+        "from braidchow.symseries import SymSeries\n"
+        "from fractions import Fraction\n"
+        "print(SymSeries.p(1) * Fraction(1, 2))\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "SymSeries(n_max=1, 1/2*p[1])"
 
 
 def test_the_package_numeric_routes_load_no_plethysm_engine():
@@ -280,14 +360,23 @@ def test_the_package_numeric_routes_load_no_plethysm_engine():
                 "braidchow.solver",
                 "braidchow.characters",
                 "braidchow.pointcounts",
-            },
+            }
+            | NO_FRACTIONS_OR_JSON,
         ),
         *(
-            (f"numeric --max-n 6 --method {method}", NO_PLETHYSM_ENGINE)
+            (f"numeric --max-n 6 --method {method}", NO_PLETHYSM_ENGINE | NO_FRACTIONS_OR_JSON)
             for method in ("lattice", "stirling", "bell")
         ),
-        ("numeric --max-n 4", set()),
-        ("table --max-n 4", set()),
+        *(
+            (f"numeric --max-n 6 --method {method}", NO_FRACTIONS_OR_JSON)
+            for method in ("solve", "strata", "all")
+        ),
+        *(
+            (f"table --max-n 6 --format {fmt}", TABLE_NEVER_LOADS)
+            for fmt in ("json", "csv", "latex")
+        ),
+        # these print or check Fractions
+        ("table --max-n 4 --basis p", {"braidchow.numeric", "braidchow.combinat"}),
         ("m-series --max-n 4", set()),
         ("verify --max-n 3", set()),
     ],
@@ -349,13 +438,36 @@ def test_the_console_script_is_what_python_m_runs(monkeypatch):
     module, name = target.split(":")
     assert module == "braidchow.cli"
     monkeypatch.setattr(cli, name, lambda: 7)
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_module("braidchow", run_name="__main__")
+    # __main__ turns the collector off before its first import; give it back
+    enabled = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("braidchow", run_name="__main__")
+    finally:
+        if enabled:
+            gc.enable()
     assert exc.value.code == 7
 
 
+def test_python_m_turns_the_collector_off_before_its_first_import():
+    # an import hook reports the collector's state as braidchow.cli loads
+    proc = _python(
+        "-c",
+        "import gc, runpy, sys\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'braidchow.cli':\n"
+        "            sys.stderr.write(f'{gc.isenabled()}\\n')\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "sys.argv = ['braidchow', 'strata', '--n', '3']\n"
+        "runpy.run_module('braidchow', run_name='__main__')\n",
+        stdout=subprocess.DEVNULL,
+    )
+    assert proc.returncode == 0 and proc.stderr == "False\n"
+
+
 # The entry point runs with the cyclic collector off, which is safe only while
-# a run leaves almost no garbage in reference cycles.  At 258-313 objects each,
+# a run leaves almost no garbage in reference cycles.  At 225 objects each,
 # the leftovers are argparse's and the import system's; a cycle made in a hot
 # loop (a recursive closure per call, say) reaches thousands.
 @pytest.mark.parametrize(

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -71,3 +75,24 @@ def test_multiplicities():
 def test_merge():
     assert merge((2, 1), (3, 1)) == (3, 2, 1, 1)
     assert merge((), (5,)) == (5,)
+
+
+def test_partitions_of_leaves_no_reference_cycle():
+    # the command-line entry point runs with the cyclic collector off
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import gc\ngc.disable()\n"
+        "from braidchow.partitions import partitions_of\n"
+        "gc.collect()\npartitions_of.cache_clear()\npartitions_of(8)\n"
+        "print(gc.collect())\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

@@ -246,3 +246,11 @@ def test_m_component_rejects_a_count_not_divisible_by_q_qminus1(monkeypatch, bum
     assert m_component(3)  # other degrees are untouched
     with pytest.raises(ValueError, match=r"cycle type \(2, 1, 1\) is not divisible by q\(q - 1\)"):
         m_component(4)
+
+
+def test_twisted_coeffs_are_a_new_list_each_call():
+    # counts are shared by prefix; a caller's change must not reach them
+    expected = list(fraction_twisted_count((2, 1, 1)).coeffs)
+    pointcounts._twisted_coeffs((2, 1, 1))[0] += 1
+    assert pointcounts._twisted_coeffs((2, 1, 1)) == expected
+    assert twisted_count((2, 1, 1, 1)) == fraction_twisted_count((2, 1, 1, 1))
