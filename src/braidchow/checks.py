@@ -3,11 +3,13 @@
 Each check takes its bound (two checks also take a second bound, for their
 costliest part) and checks exactly up to it; it raises CheckFailed with a
 readable message on failure.  The checks never use ``assert``, so they hold
-under ``python -O`` too.  ``verify`` runs every check at the bounds that
-``VERIFY_BOUNDS`` derives from --max-n; the acceptance tests run them at
-pinned bounds.  The runner reports one status line per check and stops
-nothing, so a single run shows everything that is broken.  Order matters only
-cosmetically: the cheapest, most diagnostic checks come first.
+under ``python -O`` too.  Each check is registered where it is defined, by
+``_check``, with its name and its verify-time bounds, which fill ``CHECKS``
+and ``VERIFY_BOUNDS``; ``verify`` runs every check at the bounds these derive
+from --max-n, and the acceptance tests run them at pinned bounds.  The runner
+reports one status line per check and stops nothing, so a single run shows
+everything that is broken.  Checks run in the order they are defined; order
+matters only cosmetically: the cheapest, most diagnostic checks come first.
 """
 
 from __future__ import annotations
@@ -40,6 +42,26 @@ class CheckFailed(Exception):
     """A registered check found the program's output wrong."""
 
 
+# (name, check) pairs in run order, and check name -> one (floor, cap) pair
+# per bound the check takes, both filled by `_check`
+CHECKS: list[tuple[str, Callable[..., None]]] = []
+VERIFY_BOUNDS: dict[str, tuple[tuple[int | None, int | None], ...]] = {}
+
+
+def _check(name: str, *bounds: tuple[int | None, int | None]):
+    """Register the decorated check under ``name``, to run after those
+    defined above it, with its verify-time bounds: --max-n is clamped into
+    each (floor, cap) pair, and None leaves that side open."""
+
+    def register(fn: Callable[..., None]) -> Callable[..., None]:
+        CHECKS.append((name, fn))
+        VERIFY_BOUNDS[name] = bounds
+        return fn
+
+    return register
+
+
+@_check("stirling-bell identity", (None, 12))
 def check_stirling_bell_identity(n_max: int):
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
@@ -47,6 +69,7 @@ def check_stirling_bell_identity(n_max: int):
                 raise CheckFailed(f"Stirling-Bell identity fails at (n, k) = ({n}, {k})")
 
 
+@_check("stirling triangle inversion", (None, 12))
 def check_stirling_inversion(n_max: int):
     for n in range(n_max + 1):
         for k in range(n_max + 1):
@@ -59,6 +82,7 @@ def check_stirling_inversion(n_max: int):
                 raise CheckFailed(f"triangle inversion fails at ({n}, {k}): {total}")
 
 
+@_check("bell t->1 limit", (None, 12))
 def check_bell_limit(n_max: int):
     for n in range(2, n_max + 1):
         for k in range(1, n):
@@ -72,6 +96,7 @@ def check_bell_limit(n_max: int):
                 raise CheckFailed(f"Bell limit at t=1 fails at ({n}, {k}): {value}")
 
 
+@_check("omega closed form", (None, None))
 def check_omega_closed_form(n_max: int):
     for n in range(1, n_max + 1):
         closed = TPoly.const(1)
@@ -81,6 +106,7 @@ def check_omega_closed_form(n_max: int):
             raise CheckFailed(f"omega({n}) differs from its closed form")
 
 
+@_check("plethysm spot identities", (6, 6))
 def check_plethysm_spots(ab_max: int):
     for a in range(1, ab_max + 1):
         for b in range(1, ab_max + 1):
@@ -101,6 +127,18 @@ def check_plethysm_spots(ab_max: int):
         raise CheckFailed("h_2 o h_2 has the wrong expansion")
 
 
+@_check("twisted counts are counts", (None, 8))
+def check_twisted_counts(n_max: int):
+    for n in range(1, n_max + 1):
+        for lam in partitions_of(n):
+            poly = twisted_count(lam)
+            for q in (2, 3, 4, 5):
+                v = poly.eval(q)
+                if v != int(v) or v < 0:
+                    raise CheckFailed(f"twisted count {lam} at q={q}: {v}")
+
+
+@_check("input series rank polynomials", (None, None))
 def check_input_rank_polys(n_max: int):
     M = m_series(n_max)
     for n in range(2, n_max + 1):
@@ -116,6 +154,7 @@ def check_input_rank_polys(n_max: int):
             )
 
 
+@_check("input series integrality", (None, 8))
 def check_input_integrality(n_max: int):
     M = m_series(n_max)
     for n in range(2, n_max + 1):
@@ -127,16 +166,7 @@ def check_input_integrality(n_max: int):
                 raise CheckFailed(f"component {n}: top t-weight is not the trivial representation")
 
 
-def check_twisted_counts(n_max: int):
-    for n in range(1, n_max + 1):
-        for lam in partitions_of(n):
-            poly = twisted_count(lam)
-            for q in (2, 3, 4, 5):
-                v = poly.eval(q)
-                if v != int(v) or v < 0:
-                    raise CheckFailed(f"twisted count {lam} at q={q}: {v}")
-
-
+@_check("functional equation", (None, None))
 def check_functional_equation(n_max: int):
     B = solved_series(n_max)
     if not verify_functional_equation(B, m_series(n_max)):
@@ -145,6 +175,7 @@ def check_functional_equation(n_max: int):
         raise CheckFailed("degree-2 component is not h_2")
 
 
+@_check("reference table reproduction", (None, 6))  # the reference table stops at n = 6
 def check_reference_table(n_max: int):
     B = solved_series(n_max)
     for n in range(2, n_max + 1):
@@ -154,6 +185,9 @@ def check_reference_table(n_max: int):
             raise CheckFailed(f"table row {n} deviates from the reference values")
 
 
+# the second bound is the lattice route's, which walks set partitions:
+# capped where that gets slow
+@_check("numeric route agreement", (None, None), (None, 10))
 def check_numeric_routes(n_max: int, lattice_max: int):
     routes = {
         "solver": hnum_from_solver(solved_series(n_max)),
@@ -171,6 +205,7 @@ def check_numeric_routes(n_max: int, lattice_max: int):
             raise CheckFailed(f"numeric routes disagree at n={n}: {values}")
 
 
+@_check("euler characteristics", (5, None))  # the spot values of chi need n >= 5
 def check_euler_characteristics(n_max: int):
     chi = euler_chars(n_max)
     hnum = hnum_stirling(n_max)
@@ -181,6 +216,7 @@ def check_euler_characteristics(n_max: int):
         raise CheckFailed("spot values of chi deviate")
 
 
+@_check("structural properties", (None, None), (None, 8))  # then the Schur expansion
 def check_structural(n_max: int, schur_max: int):
     hnum = hnum_stirling(n_max)
     for n in range(2, n_max + 1):
@@ -210,6 +246,7 @@ def check_structural(n_max: int, schur_max: int):
                 raise CheckFailed(f"character value at mu={mu}, n={n} is not nonnegative integral")
 
 
+@_check("level filtration", (None, None))
 def check_level_filtration(n_max: int):
     M = m_series(n_max)
     layers = level_filtration(M)
@@ -225,6 +262,7 @@ def check_level_filtration(n_max: int):
                     raise CheckFailed(f"layer {k} has a degree-{n} part")
 
 
+@_check("level tree census", (None, 6))  # walks trees: capped where that gets slow
 def check_tree_census(n_max: int):
     for n in range(2, n_max + 1):
         census = level_tree_census(n)
@@ -234,6 +272,7 @@ def check_tree_census(n_max: int):
             raise CheckFailed(f"census at n={n} deviates from chain counts: {census}")
 
 
+@_check("strata oracle", (None, None))  # counts trees without walking them, so uncapped
 def check_strata_oracle(n_max: int):
     hnum = hnum_stirling(n_max)
     for n in range(2, n_max + 1):
@@ -241,6 +280,7 @@ def check_strata_oracle(n_max: int):
             raise CheckFailed(f"stratum sum at n={n} deviates")
 
 
+@_check("pruning round-trip", (None, 5))  # walks trees: capped where that gets slow
 def check_pruning_roundtrip(n_max: int):
     for n in range(3, n_max + 1):
         for tree in enumerate_level_trees(n):
@@ -251,6 +291,7 @@ def check_pruning_roundtrip(n_max: int):
                 raise CheckFailed("pruning round-trip failed")
 
 
+@_check("serialization round-trip", (None, 6))
 def check_serialization_roundtrip(n_max: int):
     B = solved_series(n_max)
     for n, comp in B.components.items():
@@ -259,55 +300,6 @@ def check_serialization_roundtrip(n_max: int):
         table = schur_expand(comp, n)
         if schur_table_from_obj(schur_table_to_obj(n, table)) != table:
             raise CheckFailed(f"Schur table {n} does not survive a JSON round-trip")
-
-
-CHECKS: list[tuple[str, Callable[..., None]]] = [
-    ("stirling-bell identity", check_stirling_bell_identity),
-    ("stirling triangle inversion", check_stirling_inversion),
-    ("bell t->1 limit", check_bell_limit),
-    ("omega closed form", check_omega_closed_form),
-    ("plethysm spot identities", check_plethysm_spots),
-    ("twisted counts are counts", check_twisted_counts),
-    ("input series rank polynomials", check_input_rank_polys),
-    ("input series integrality", check_input_integrality),
-    ("functional equation", check_functional_equation),
-    ("reference table reproduction", check_reference_table),
-    ("numeric route agreement", check_numeric_routes),
-    ("euler characteristics", check_euler_characteristics),
-    ("structural properties", check_structural),
-    ("level filtration", check_level_filtration),
-    ("level tree census", check_tree_census),
-    ("strata oracle", check_strata_oracle),
-    ("pruning round-trip", check_pruning_roundtrip),
-    ("serialization round-trip", check_serialization_roundtrip),
-]
-
-# The verify-time caps, in one place: check name -> one (floor, cap) pair per
-# bound the check takes.  --max-n is clamped into each pair; None leaves that
-# side open.  The reference table stops at n = 6, the oracles that walk trees
-# or set partitions stop where they get slow (the stratum sum counts trees
-# without walking them, so it is uncapped), and the spot values of chi need
-# n >= 5.
-VERIFY_BOUNDS: dict[str, tuple[tuple[int | None, int | None], ...]] = {
-    "stirling-bell identity": ((None, 12),),
-    "stirling triangle inversion": ((None, 12),),
-    "bell t->1 limit": ((None, 12),),
-    "omega closed form": ((None, None),),
-    "plethysm spot identities": ((6, 6),),
-    "twisted counts are counts": ((None, 8),),
-    "input series rank polynomials": ((None, None),),
-    "input series integrality": ((None, 8),),
-    "functional equation": ((None, None),),
-    "reference table reproduction": ((None, 6),),
-    "numeric route agreement": ((None, None), (None, 10)),  # then the lattice route
-    "euler characteristics": ((5, None),),
-    "structural properties": ((None, None), (None, 8)),  # then the Schur expansion
-    "level filtration": ((None, None),),
-    "level tree census": ((None, 6),),
-    "strata oracle": ((None, None),),
-    "pruning round-trip": ((None, 5),),
-    "serialization round-trip": ((None, 6),),
-}
 
 
 def _clamp(max_n: int, floor: int | None, cap: int | None) -> int:

@@ -13,7 +13,8 @@ with one point pinned; purity lets q double as the grading variable t.
 The counts are built on integers: d * necklace(d) is an integer polynomial,
 so each twisted count is a product of integer lists, built from the count of
 the partition without its last part, and its division by q(q - 1) is a
-shift and a synthetic division, checked to leave no remainder.  The series
+shift and the synthetic division by (q - 1) that the solver uses too
+(``symseries._over_tminus1``), checked to leave no remainder.  The series
 is one ``SymSeries`` held in integer form (``SymSeries._from_int``): the
 term c / z_lambda of degree n is the numerator c * n! / z_lambda over n!,
 and each component is brought to its least denominator, so no Fraction is
@@ -29,7 +30,7 @@ from functools import lru_cache
 from math import factorial
 
 from .partitions import Partition, partitions_of, z_lambda
-from .symseries import SymSeries, _lowest_terms, rk
+from .symseries import SymSeries, _lowest_terms, _over_tminus1, rk
 from .tpoly import TPoly
 
 
@@ -95,11 +96,6 @@ def _twisted(lam: Partition) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _twisted_coeffs(lam: Partition) -> list[int]:
-    """The coefficients of the twisted count of lam, as a new list."""
-    return list(_twisted(lam))
-
-
 def twisted_count(lam: Partition) -> TPoly:
     """Configurations on the affine line fixed by a cycle-type-lam twist of
     Frobenius: prod over part sizes d of d^m_d * necklace(d) falling m_d.
@@ -108,21 +104,17 @@ def twisted_count(lam: Partition) -> TPoly:
     d*necklace(d) - d*i an integer polynomial, so the count is a product of
     integer lists; this is a view of the routine the input series is built
     from."""
-    return TPoly(_twisted_coeffs(lam))
+    return TPoly(_twisted(lam))
 
 
-def _affine_quotient(lam: Partition) -> list[int]:
-    """The twisted count of lam divided by q(q - 1), exactly, on integers:
-    drop the constant term, then synthetic division by (q - 1), whose
-    quotient coefficient of q^(k-1) is the sum of the coefficients of q^k
-    and above.  Raises ValueError if the division leaves a remainder."""
-    coeffs = _twisted_coeffs(lam)
-    quotient = [0] * (len(coeffs) - 2)
-    carry = 0
-    for k in range(len(coeffs) - 1, 1, -1):
-        carry += coeffs[k]
-        quotient[k - 2] = carry
-    if coeffs[0] or carry + coeffs[1]:
+def _affine_quotient(lam: Partition) -> dict[int, int]:
+    """The twisted count of lam divided by q(q - 1), exactly, on integers, as
+    q-exponent -> nonzero coefficient: drop the constant term, then divide
+    by (q - 1) (`_over_tminus1`).  Raises ValueError if the division leaves
+    a remainder."""
+    coeffs = _twisted(lam)
+    quotient, remainder = _over_tminus1({k - 1: c for k, c in enumerate(coeffs) if k and c})
+    if coeffs[0] or remainder:
         raise ValueError(
             f"twisted count of cycle type {lam} is not divisible by q(q - 1):"
             f" {TPoly(coeffs)}"
@@ -139,7 +131,7 @@ def m_component(n: int) -> SymSeries:
     rows = {}
     for lam in partitions_of(n):
         size = fact // z_lambda(lam)
-        rows[lam] = {k: c * size for k, c in enumerate(_affine_quotient(lam)) if c}
+        rows[lam] = {k: c * size for k, c in _affine_quotient(lam).items()}
     return SymSeries._from_int(n, {n: _lowest_terms(fact, rows)})
 
 

@@ -17,10 +17,11 @@ is exact for every input series; a nonzero remainder signals a fault in the
 plethysm or the solver itself, and the division doubles as error detection
 for them.  S_n is one plethysm of degree n, summed for every k at once in
 one packed accumulator, and divided as integer numerators over its
-denominator.  The input series, the inner series G, every S_n and the
-returned series B all stay in the integer form of ``symseries`` (unpacked
-rows over a denominator, one part per degree), so the solver builds no
-Fraction.
+denominator, by the synthetic division ``symseries._over_tminus1`` that
+also builds the input series.  The input series, the inner series G, every
+S_n and the returned series B all stay in the integer form of ``symseries``
+(unpacked rows over a denominator, one part per degree), so the solver
+builds no Fraction.
 
 Alongside the solver this module carries the rank specialization of the
 equivariant solution, one route to the rank polynomials H_n^num (the
@@ -40,6 +41,7 @@ from .symseries import (
     SymSeries,
     _add_parts,
     _lowest_terms,
+    _over_tminus1,
     plethysm,
     rk,
 )
@@ -70,19 +72,12 @@ def _times_tminus1(rows: Rows) -> Rows:
 
 
 def _rows_over_tminus1(rows: Rows, den: int) -> Rows:
-    """Divide every p-monomial's integer t-polynomial by (t - 1); the
-    remainder must vanish.  Synthetic division: the quotient's coefficient of
-    t^(k-1) is the sum of the coefficients of t^k and above, and the sum of
-    all coefficients is the remainder.  den is only for the error message."""
+    """Divide every p-monomial's integer t-polynomial by (t - 1)
+    (`_over_tminus1`); the remainder must vanish.  den is only for the error
+    message."""
     out: Rows = {}
-    for parts, coeffs in rows.items():
-        quotient = {}
-        carry = 0
-        for k in range(max(coeffs), 0, -1):
-            carry += coeffs.get(k, 0)
-            if carry:
-                quotient[k - 1] = carry
-        remainder = carry + coeffs.get(0, 0)
+    for parts, row in rows.items():
+        quotient, remainder = _over_tminus1(row)
         if remainder:
             from fractions import Fraction
 
@@ -107,7 +102,7 @@ def _divexact_tminus1(s: SymSeries) -> SymSeries:
     return SymSeries._from_int(s.n_max, form)
 
 
-def solve_B(M: SymSeries, n_max: int | None = None) -> SymSeries:
+def solve_B(M: SymSeries) -> SymSeries:
     """Solve for B degree by degree: B_n = M_n + S_n / (t - 1), with
     S_n = [B_<n o G]_n.  Nothing is imposed at n = 2: B_<2 is zero, so
     B_2 = M_2 by the same rule.
@@ -116,11 +111,8 @@ def solve_B(M: SymSeries, n_max: int | None = None) -> SymSeries:
     solved so far, one packed accumulator for every k < n; it is divided by
     (t - 1) as integer numerators over its denominator, a nonzero remainder
     raising ValueError, and added to M_n.  Each B_n is held in integer form
-    at its least denominator."""
-    if n_max is None:
-        n_max = M.n_max
-    if n_max > M.n_max:
-        raise ValueError("input series is too short for the requested degree")
+    at its least denominator, and B is truncated where M is."""
+    n_max = M.n_max
     G = growth_series(M)
     cache = PlethysmCache(G)
     form: dict[int, tuple[int, Rows]] = {}
@@ -181,18 +173,16 @@ def level_filtration(M: SymSeries) -> list[SymSeries]:
 @lru_cache(maxsize=None)
 def solved_series(n_max: int) -> SymSeries:
     """Input construction plus solver, cached per truncation degree."""
-    return solve_B(m_series(n_max), n_max)
+    return solve_B(m_series(n_max))
 
 
-def equivariant_table(n: int, B: SymSeries | None = None) -> dict[Partition, TPoly]:
+def equivariant_table(n: int) -> dict[Partition, TPoly]:
     """Schur coefficients of the degree-n solution component."""
     from .characters import schur_expand
 
     if n < 2:
         raise ValueError("the table starts at n = 2")
-    if B is None:
-        B = solved_series(n)
-    return schur_expand(B.component(n), n)
+    return schur_expand(solved_series(n).component(n), n)
 
 
 def hnum_from_solver(B: SymSeries) -> dict[int, TPoly]:

@@ -29,7 +29,10 @@ and tests.  Products and plethysms neither divide nor reduce in their inner
 loops: each term of degree d of a plethysm table is held as an integer
 multiple of 1/d! (``PlethysmCache``), a scaling that is checked where it is
 made: a psi image that would not scale to an integer raises
-``ArithmeticError``.
+``ArithmeticError``.  A cache holds one family of tables, the products of
+psi images keyed by partition, and the table of a one-part partition (k) is
+psi(k, g) itself.  The exact division of an integer t-row by (t - 1),
+which the solver and the input series both need, is ``_over_tminus1``.
 
 Inside ``PlethysmCache`` and ``plethysm`` every integer t-row is one Python
 int packed at a width W (Kronecker substitution, evaluation at t = 2^W), so
@@ -203,8 +206,15 @@ class SymSeries:
         return max(map(max, rows), default=-1)
 
     def truncate(self, n_max: int) -> "SymSeries":
+        """The terms of degree <= n_max.  A series is unknown past its own
+        n_max, so truncating it higher raises ValueError."""
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
+        if n_max > self.n_max:
+            raise ValueError(
+                f"cannot truncate at degree {n_max}: the series is known only"
+                f" through degree {self.n_max}"
+            )
         return SymSeries._from_int(n_max, {d: p for d, p in self._int.items() if d <= n_max})
 
     # -- ring operations ---------------------------------------------------
@@ -287,24 +297,17 @@ Rows = dict[Partition, dict[int, int]]
 
 def _numerators(s: SymSeries, n_max: int) -> tuple[int, Rows]:
     """(D, rows): the terms of s of degree <= n_max as integer numerators over
-    D, the lcm of the held degrees' denominators; rows maps partition ->
-    t-exponent -> N.  The rows of a single degree are returned as they are
-    held, not copied: read them, never change them."""
-    held = [part for d, part in s._int.items() if d <= n_max]
-    if len(held) == 1:
-        return held[0]
-    den = lcm(*(den_d for den_d, _rows in held))
-    rows: Rows = {}
-    for den_d, rows_d in held:
-        lift = den // den_d
-        for parts, row in rows_d.items():
-            rows[parts] = {e: v * lift for e, v in row.items()}
-    return den, rows
+    D, the lcm of the held degrees' denominators (`_add_parts`: the degrees
+    share no partition, so nothing cancels)."""
+    return _add_parts(*(part for d, part in s._int.items() if d <= n_max))
 
 
 def _add_parts(*parts: tuple[int, Rows]) -> tuple[int, Rows]:
-    """The sum of parts of one degree, over the lcm of their denominators;
-    entries and rows that cancel are dropped."""
+    """The sum of parts, over the lcm of their denominators; entries and rows
+    that cancel are dropped.  A lone part is returned as it is, not copied:
+    read it, never change it."""
+    if len(parts) == 1:
+        return parts[0]
     den = lcm(*(den_p for den_p, _rows in parts))
     rows: Rows = {}
     for den_p, rows_p in parts:
@@ -332,6 +335,20 @@ def _lowest_terms(den: int, rows: Rows) -> tuple[int, Rows]:
     if g == 1:
         return den, rows
     return den // g, {q: {k: v // g for k, v in row.items()} for q, row in rows.items()}
+
+
+def _over_tminus1(row: dict[int, int]) -> tuple[dict[int, int], int]:
+    """(quotient, remainder) of the integer t-row divided by (t - 1), by
+    synthetic division: the quotient's coefficient of t^(k-1) is the sum of
+    the coefficients of t^k and above, and the remainder is the sum of all
+    of them.  The quotient holds no zero entry."""
+    quotient = {}
+    carry = 0
+    for k in range(max(row, default=0), 0, -1):
+        carry += row.get(k, 0)
+        if carry:
+            quotient[k - 1] = carry
+    return quotient, carry + row.get(0, 0)
 
 
 def _fractions(rows: Rows, den: int) -> dict[Term, Fraction]:
@@ -467,25 +484,29 @@ def _product_bound(a: L1Bound, b: L1Bound, n_max: int) -> L1Bound:
 
 
 class PlethysmCache:
-    """Reusable per-inner-series state: psi images and partition products.
+    """Reusable per-inner-series state: one family of tables, the partition
+    products, keyed by partition.
 
     All plethysms against one fixed inner series g share the expensive
     pieces: the products prod_i psi(lambda_i, g) depend only on g and the
-    partition, not on the outer series.  They are held as integers: a term
-    c * t^k * p_q of degree d in a product of l psi factors is stored as
-    N = c * L^l * d!, where ``scale`` L is the least positive integer making
-    c * L * |mu|! integral for every term c * t^k * p_mu of g.  L = 1 for every
-    series with z_mu-type denominators, which divide |mu|!, as for every
-    inner series the solver builds; psi_j maps degree |mu| to j*|mu|, and |mu|!
-    divides (j*|mu|)!, so the same L serves every psi image.
+    partition, not on the outer series.  The table of a one-part partition
+    (k) is the psi image psi(k, g) itself (``psi``, scaled), a longer
+    partition's table is the product of the tables of its tail and of its
+    first part, and the empty partition's is the unit.  They are held as
+    integers: a term c * t^k * p_q of degree d in a product of l psi factors
+    is stored as N = c * L^l * d!, where ``scale`` L is the least positive
+    integer making c * L * |mu|! integral for every term c * t^k * p_mu of g.
+    L = 1 for every series with z_mu-type denominators, which divide |mu|!,
+    as for every inner series the solver builds; psi_j maps degree |mu| to
+    j*|mu|, and |mu|! divides (j*|mu|)!, so the same L serves every psi image.
 
     Each t-row is one int packed at ``width`` W (`_pack`), so a row product is
     one multiplication.  W is proved, not guessed: every table carries, per
     degree, a bound on the sum of its rows' l1 norms (exact for psi images,
-    `_product_bound` for products), and W stays above the bit length of every
-    bound, so each coefficient is a balanced W-bit digit.  A table or a
-    plethysm whose bound does not fit widens the cache: W at least triples,
-    and every table is repacked in place.  (In the solver the last
+    `_product_bound` for longer products), and W stays above the bit length
+    of every bound, so each coefficient is a balanced W-bit digit.  A table
+    or a plethysm whose bound does not fit widens the cache: W at least
+    triples, and every table is repacked in place.  (In the solver the last
     plethysm's bound needs 2.0 to 2.5 times the bits of the first psi image,
     n = 8..20, so a cache widens once after its first tables.)  A width past
     ``max_width`` bits raises ArithmeticError instead.
@@ -505,14 +526,12 @@ class PlethysmCache:
     max_width = 1 << 16  # a packed row of k + 1 coefficients then takes (k + 1) * 8 KiB
 
     def __init__(self, g: SymSeries):
-        # g's integer numerators by degree, d -> (D, rows)
-        self._g_rows = g._int
-        _den, rows_0 = self._g_rows.get(0, (1, {}))
+        _den, rows_0 = g._int.get(0, (1, {}))
         if rows_0.get((), {}).get(0):
             raise ValueError("inner series of a plethysm must have no constant term")
         self.g = g
         self.scale = 1
-        for d, (den, rows) in self._g_rows.items():
+        for d, (den, rows) in g._int.items():
             fact = factorial(d)
             for row in rows.values():
                 for v in row.values():
@@ -521,8 +540,6 @@ class PlethysmCache:
         self.width = 2
         self.shift = max(g.n_max, 1).bit_length()  # s: bits per multiplicity in a key
         self._parts: dict[int, Partition] = {}  # key -> partition, filled as keys are decoded
-        self._psi: dict[int, IntTable] = {}
-        self._psi_l1: dict[int, L1Bound] = {}
         self._prod: dict[Partition, IntTable] = {(): {0: {0: 1}}}
         self._prod_l1: dict[Partition, L1Bound] = {(): {0: 1}}
 
@@ -556,58 +573,56 @@ class PlethysmCache:
             raise ArithmeticError(
                 f"packed t-rows need {need} bits per coefficient, more than {self.max_width}"
             )
-        for tables in (self._psi, self._prod):
-            for table in tables.values():
-                for by_q in table.values():
-                    for q, x in by_q.items():
-                        by_q[q] = _pack(_unpack(x, self.width), width)
+        for table in self._prod.values():
+            for by_q in table.values():
+                for q, x in by_q.items():
+                    by_q[q] = _pack(_unpack(x, self.width), width)
         self.width = width
 
-    def psi_table(self, k: int) -> IntTable:
-        """psi(k, g) at scale L * d!, truncated at g.n_max."""
-        table = self._psi.get(k)
-        if table is None:
-            rows: dict[int, dict[int, dict[int, int]]] = {}  # degree -> key -> t-row
-            for d, (den, g_rows) in self._g_rows.items():
-                if k * d > self.g.n_max:
-                    continue
-                fact = factorial(k * d)
-                for parts, row in g_rows.items():
-                    q = tuple(k * p for p in parts)
-                    cell = rows.setdefault(k * d, {}).setdefault(self.key(q), {})
-                    for e, v in row.items():
-                        # the term v / den t^(k e) p_q of psi(k, g)
-                        n, rem = divmod(v * self.scale * fact, den)
-                        if rem:
-                            from fractions import Fraction
-
-                            raise ArithmeticError(
-                                f"term {Fraction(v, den)} t^{k * e} p_{q} of psi_{k} of the inner"
-                                f" series does not scale to an integer: times {self.scale} * {k * d}!"
-                            )
-                        cell[k * e] = n
-            l1 = {
-                d: sum(abs(n) for row in by_q.values() for n in row.values())
-                for d, by_q in rows.items()
-            }
-            self.fit(max(l1.values(), default=0))
-            self._psi_l1[k] = l1
-            table = self._psi[k] = {
-                d: {q: _pack(row, self.width) for q, row in by_q.items()}
-                for d, by_q in rows.items()
-            }
-        return table
-
     def product(self, parts: Partition) -> IntTable:
-        """prod_i psi(parts_i, g) at scale L^len(parts) * d!, truncated at g.n_max."""
+        """prod_i psi(parts_i, g) at scale L^len(parts) * d!, truncated at
+        g.n_max.  The table of one part k is the integer form of psi(k, g)
+        itself, scaled; a longer product is the product of the tables of its
+        tail and of its first part."""
         table = self._prod.get(parts)
         if table is None:
-            rest = self.product(parts[1:])
-            head = self.psi_table(parts[0])
-            l1 = _product_bound(self._prod_l1[parts[1:]], self._psi_l1[parts[0]], self.g.n_max)
-            self.fit(max(l1.values(), default=0))  # repacks rest and head in place
+            if len(parts) == 1:
+                rows: dict[int, dict[int, dict[int, int]]] = {}  # degree -> key -> t-row
+                for d, (den, image) in psi(parts[0], self.g)._int.items():
+                    lift = self.scale * factorial(d)
+                    by_q = rows[d] = {}
+                    for q, row in image.items():
+                        cell = by_q[self.key(q)] = {}
+                        for e, v in row.items():
+                            # the term v / den t^e p_q of the psi image, times L * d!
+                            n, rem = divmod(v * lift, den)
+                            if rem:
+                                from fractions import Fraction
+
+                                raise ArithmeticError(
+                                    f"term {Fraction(v, den)} t^{e} p_{q} of psi_{parts[0]} of"
+                                    f" the inner series does not scale to an integer: times"
+                                    f" {self.scale} * {d}!"
+                                )
+                            cell[e] = n
+                l1 = {
+                    d: sum(abs(n) for row in by_q.values() for n in row.values())
+                    for d, by_q in rows.items()
+                }
+                self.fit(max(l1.values(), default=0))
+                table = {
+                    d: {q: _pack(row, self.width) for q, row in by_q.items()}
+                    for d, by_q in rows.items()
+                }
+            else:
+                n_max = self.g.n_max
+                rest = self.product(parts[1:])
+                head = self.product(parts[:1])
+                l1 = _product_bound(self._prod_l1[parts[1:]], self._prod_l1[parts[:1]], n_max)
+                self.fit(max(l1.values(), default=0))  # repacks rest and head in place
+                table = _int_product(rest, head, n_max)
             self._prod_l1[parts] = l1
-            table = self._prod[parts] = _int_product(rest, head, self.g.n_max)
+            self._prod[parts] = table
         return table
 
 

@@ -645,8 +645,8 @@ def test_verify_names_broken_check(capsys, monkeypatch):
 def test_verify_catches_a_faulty_solver(capsys, monkeypatch):
     original = solver.solve_B
 
-    def faulty(M, n_max=None):
-        B = original(M, n_max)
+    def faulty(M):
+        B = original(M)
         return B + SymSeries.h(4, B.n_max) * TPoly((0, 1))
 
     monkeypatch.setattr(solver, "solve_B", faulty)
@@ -669,7 +669,7 @@ def test_verify_reports_a_kernel_error_and_runs_on(capsys, monkeypatch):
     class CorruptedCache(PlethysmCache):
         def __init__(self, g):
             super().__init__(g)
-            self.psi_table(1)[2][self.key((2,))] += 1  # packed: bit 0 holds the t^0 coefficient
+            self.product((1,))[2][self.key((2,))] += 1  # packed: bit 0 holds the t^0 coefficient
 
     monkeypatch.setattr(solver, "PlethysmCache", CorruptedCache)
     solver.solved_series.cache_clear()

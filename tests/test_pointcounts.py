@@ -234,23 +234,26 @@ def test_twisted_count_matches_the_fraction_product(n):
 
 @pytest.mark.parametrize("bump", [0, 1, 2], ids=["constant", "linear", "quadratic"])
 def test_m_component_rejects_a_count_not_divisible_by_q_qminus1(monkeypatch, bump):
-    original = pointcounts._twisted_coeffs
+    original = pointcounts._twisted
 
     def bumped(lam):
         coeffs = original(lam)
         if lam == (2, 1, 1):
-            coeffs[bump] += 1
+            coeffs = coeffs[:bump] + (coeffs[bump] + 1,) + coeffs[bump + 1 :]
         return coeffs
 
-    monkeypatch.setattr(pointcounts, "_twisted_coeffs", bumped)
+    monkeypatch.setattr(pointcounts, "_twisted", bumped)
     assert m_component(3)  # other degrees are untouched
     with pytest.raises(ValueError, match=r"cycle type \(2, 1, 1\) is not divisible by q\(q - 1\)"):
         m_component(4)
 
 
-def test_twisted_coeffs_are_a_new_list_each_call():
-    # counts are shared by prefix; a caller's change must not reach them
-    expected = list(fraction_twisted_count((2, 1, 1)).coeffs)
-    pointcounts._twisted_coeffs((2, 1, 1))[0] += 1
-    assert pointcounts._twisted_coeffs((2, 1, 1)) == expected
+def test_twisted_counts_are_handed_out_as_tuples():
+    # counts are cached and shared by prefix; a caller cannot change them
+    for lam in partitions_of(5):
+        coeffs = pointcounts._twisted(lam)
+        assert isinstance(coeffs, tuple), lam
+        assert coeffs == fraction_twisted_count(lam).coeffs, lam
+    with pytest.raises(TypeError):
+        pointcounts._twisted((2, 1, 1))[0] += 1
     assert twisted_count((2, 1, 1, 1)) == fraction_twisted_count((2, 1, 1, 1))

@@ -173,11 +173,6 @@ def test_changing_the_components_leaves_a_cached_series_as_it_is(cached):
     assert series.terms == terms and set(series.components) == set(range(2, 7))
 
 
-def test_solve_rejects_short_input(M8):
-    with pytest.raises(ValueError):
-        solve_B(M8, 9)
-
-
 def test_solve_on_a_corrupted_kernel_raises_on_the_tminus1_division(monkeypatch):
     """Every input series gives an exact division; a wrong plethysm does not.
     Here the integer psi image of G gains 1/2 p_2 at t = 1, which the
@@ -186,11 +181,28 @@ def test_solve_on_a_corrupted_kernel_raises_on_the_tminus1_division(monkeypatch)
     class CorruptedCache(PlethysmCache):
         def __init__(self, g):
             super().__init__(g)
-            self.psi_table(1)[2][self.key((2,))] += 1  # packed: bit 0 holds the t^0 coefficient
+            self.product((1,))[2][self.key((2,))] += 1  # packed: bit 0 holds the t^0 coefficient
 
     monkeypatch.setattr(solver, "PlethysmCache", CorruptedCache)
     with pytest.raises(ValueError, match=r"nonzero remainder .* p_\(2, 1\) \(degree 3\)"):
         solve_B(m_series(5))
+
+
+def test_the_solver_cache_widens_twice_at_degree_12(monkeypatch):
+    """The packed width starts at 2 bits, fits the first psi image of G at
+    33, and triples once, to 99, for the bound of a later plethysm."""
+    widenings = []
+
+    class RecordingCache(PlethysmCache):
+        def fit(self, bound):
+            width = self.width
+            super().fit(bound)
+            if self.width != width:
+                widenings.append((width, self.width))
+
+    monkeypatch.setattr(solver, "PlethysmCache", RecordingCache)
+    solve_B(m_series(12))
+    assert widenings == [(2, 33), (33, 99)]
 
 
 def test_solve_matches_the_route_of_one_plethysm_per_component():

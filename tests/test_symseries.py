@@ -14,6 +14,7 @@ from braidchow.symseries import (
     _add_parts,
     _fractions,
     _numerators,
+    _over_tminus1,
     _pack,
     _unpack,
     frobenius_from_character,
@@ -21,7 +22,7 @@ from braidchow.symseries import (
     psi,
     rk,
 )
-from braidchow.tpoly import TPoly
+from braidchow.tpoly import T_MINUS_ONE, TPoly
 
 from .strategies import inner_series, partitions, series
 
@@ -81,6 +82,16 @@ def test_h1_squared():
 def test_additive_inverse():
     h2 = SymSeries.h(2)
     assert (h2 + (-1) * h2).is_zero()
+
+
+def test_truncating_above_the_known_degree_raises():
+    # f is unknown past degree 4: a sum with a longer series must not read
+    # its degree-5 part as zero
+    f = SymSeries.h(2, 4) + P((3, 1), 4, t=1)
+    with pytest.raises(ValueError, match=r"degree 6: the series is known only through degree 4"):
+        f.truncate(6)
+    assert f.truncate(4) == f
+    assert f.truncate(3) == SymSeries.h(2, 3)
 
 
 def test_truncation_on_multiply():
@@ -331,7 +342,44 @@ def test_plethysm_rejects_an_inexact_psi_scaling():
     cache = PlethysmCache(SymSeries(4, {((1,), 0): Fraction(1, 7)}))
     cache.scale = 1  # too small for 1/7 p_1, so the scaled term is not an integer
     with pytest.raises(ArithmeticError, match="does not scale to an integer"):
-        cache.psi_table(1)
+        cache.product((1,))
+
+
+@given(st.one_of(inner_series(n_max=6), odd_inner_series()), st.integers(1, 4))
+@settings(max_examples=40)
+def test_the_table_of_one_part_is_the_psi_image(g, k):
+    """product((k,)) unpacked is psi(k, g), each term of degree d at scale L * d!:
+    the term c t^e p_mu of g becomes c t^(k e) p_(k mu), up to degree g.n_max."""
+    cache = PlethysmCache(g)
+    table = cache.product((k,))
+    unpacked = {
+        (cache.partition(q), e): Fraction(n, cache.scale * factorial(d))
+        for d, by_q in table.items()
+        for q, x in by_q.items()
+        for e, n in _unpack(x, cache.width).items()
+    }
+    expected = {
+        (tuple(k * p for p in mu), k * e): c
+        for (mu, e), c in g.terms.items()
+        if k * sum(mu) <= g.n_max
+    }
+    assert unpacked == expected == psi(k, g).terms
+
+
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=10), st.integers(-(1 << 70), 1 << 70), max_size=8
+    )
+)
+def test_over_tminus1_matches_polynomial_division(row):
+    def poly(r):
+        return TPoly([r.get(k, 0) for k in range(max(r, default=-1) + 1)])
+
+    quotient, remainder = _over_tminus1(row)
+    expected_q, expected_r = poly(row).divmod(T_MINUS_ONE)
+    assert all(quotient.values())
+    assert poly(quotient) == expected_q
+    assert TPoly.const(remainder) == expected_r
 
 
 # -- Kronecker-packed t-rows ---------------------------------------------------------
