@@ -150,6 +150,16 @@ def _put_json(obj, newline: str, put):
         raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
+def _emit_series(series, args: argparse.Namespace):
+    """Components 2..max_n of a series in the p-basis, as JSON records or CSV."""
+    components = {n: series.component(n) for n in range(2, args.max_n + 1)}
+    if args.format == "csv":
+        _emit(serialize.series_csv(components), args.output)
+    else:
+        payload = [serialize.series_to_obj(n, components[n]) for n in sorted(components)]
+        _emit(_json(payload), args.output)
+
+
 def cmd_table(args: argparse.Namespace, parser) -> int:
     _check_max_n(args.max_n, parser)
     if args.basis == "p" and args.format == "latex":
@@ -160,12 +170,7 @@ def cmd_table(args: argparse.Namespace, parser) -> int:
 
     B = solve_B(m_series(args.max_n))
     if args.basis == "p":
-        components = {n: B.component(n) for n in range(2, args.max_n + 1)}
-        if args.format == "json":
-            payload = [serialize.series_to_obj(n, components[n]) for n in sorted(components)]
-            _emit(_json(payload), args.output)
-        else:
-            _emit(serialize.series_csv(components), args.output)
+        _emit_series(B, args)
         return 0
     from .characters import schur_expand
 
@@ -240,13 +245,7 @@ def cmd_m_series(args: argparse.Namespace, parser) -> int:
     _check_output(args.output)
     from .pointcounts import m_series
 
-    M = m_series(args.max_n)
-    components = {n: M.component(n) for n in range(2, args.max_n + 1)}
-    if args.format == "csv":
-        _emit(serialize.series_csv(components), args.output)
-    else:
-        payload = [serialize.series_to_obj(n, components[n]) for n in sorted(components)]
-        _emit(_json(payload), args.output)
+    _emit_series(m_series(args.max_n), args)
     return 0
 
 

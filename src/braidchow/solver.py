@@ -15,12 +15,14 @@ with G = h_1 + (t - 1) M and B_<n = B_2 + ... + B_{n-1}, and the division by
 (t - 1) must be exact.  At t = 1 the inner series G is h_1, so the division
 is exact for every input series; a nonzero remainder signals a fault in the
 plethysm or the solver itself, and the division doubles as error detection
-for them.  S_n is one plethysm of degree n, summed for every k at once in
-one packed accumulator, and divided as integer numerators over its
-denominator, by the synthetic division ``symseries._over_tminus1`` that
-also builds the input series.  The input series, the inner series G, every
-S_n and the returned series B all stay in the integer form of ``symseries``
-(unpacked rows over a denominator, one part per degree), so the solver
+for them.
+
+The solver is written in ``SymSeries`` arithmetic: sums, the shift by t,
+one plethysm of degree n for each S_n (summed for every k at once in one
+packed accumulator), and ``_divexact_tminus1``, the one exact division of a
+series by (t - 1).  The integer form they run on, unpacked rows over a
+denominator per degree, lives in ``symseries``; a sum holds each degree it
+summed at its least denominator, so the solver keeps none of its own and
 builds no Fraction.
 
 Alongside the solver this module carries the rank specialization of the
@@ -35,68 +37,38 @@ from functools import lru_cache
 
 from .partitions import Partition
 from .pointcounts import m_series
-from .symseries import (
-    PlethysmCache,
-    Rows,
-    SymSeries,
-    _add_parts,
-    _lowest_terms,
-    _over_tminus1,
-    plethysm,
-    rk,
-)
+from .symseries import PlethysmCache, Rows, SymSeries, _lowest_terms, _over_tminus1, plethysm, rk
 from .tpoly import TPoly, T
 
 
 def growth_series(M: SymSeries) -> SymSeries:
-    """G = h_1 + (t - 1) M, the inner series of every composition here, in
-    integer form: p_1 in degree 1, and (t - 1) times the numerators of M_n
-    over their denominator in each degree n."""
-    form = {1: (1, {(1,): {0: 1}})} if M.n_max >= 1 else {}
-    for n, (den, rows) in sorted(M._int.items()):
-        form[n] = (den, _times_tminus1(rows))
-    return SymSeries._from_int(M.n_max, form)
+    """G = h_1 + (t - 1) M, the inner series of every composition here.
 
-
-def _times_tminus1(rows: Rows) -> Rows:
-    """(t - 1) times integer rows; entries that cancel are dropped, and no
-    nonzero row becomes empty."""
-    out: Rows = {}
-    for parts, row in rows.items():
-        acc: dict[int, int] = {}
-        for k, c in row.items():
-            acc[k + 1] = acc.get(k + 1, 0) + c
-            acc[k] = acc.get(k, 0) - c
-        out[parts] = {k: c for k, c in acc.items() if c}
-    return out
-
-
-def _rows_over_tminus1(rows: Rows, den: int) -> Rows:
-    """Divide every p-monomial's integer t-polynomial by (t - 1)
-    (`_over_tminus1`); the remainder must vanish.  den is only for the error
-    message."""
-    out: Rows = {}
-    for parts, row in rows.items():
-        quotient, remainder = _over_tminus1(row)
-        if remainder:
-            from fractions import Fraction
-
-            raise ValueError(
-                f"nonzero remainder {Fraction(remainder, den)} dividing the coefficient"
-                f" of p_{parts} (degree {sum(parts)}) by (t - 1)"
-            )
-        if quotient:
-            out[parts] = quotient
-    return out
+    (t - 1) M is taken as M t - M, a shift of t-exponents and a sum, so each
+    degree of G stays over the denominator of M's; a product with (t - 1)
+    would lift every degree to the common denominator of all of M."""
+    return SymSeries.p(1, M.n_max) + M * T - M
 
 
 def _divexact_tminus1(s: SymSeries) -> SymSeries:
     """Divide every p-monomial's t-polynomial by (t - 1); remainder must
-    vanish.  Runs degree by degree on the integer form of s, and brings each
-    quotient to its least denominator."""
+    vanish.  Each integer row is divided by the synthetic division
+    `_over_tminus1`, and each degree's quotient is brought to its least
+    denominator."""
     form = {}
     for d, (den, rows) in s._int.items():
-        quotient = _rows_over_tminus1(rows, den)
+        quotient: Rows = {}
+        for parts, row in rows.items():
+            quotient_row, remainder = _over_tminus1(row)
+            if remainder:
+                from fractions import Fraction
+
+                raise ValueError(
+                    f"nonzero remainder {Fraction(remainder, den)} dividing the coefficient"
+                    f" of p_{parts} (degree {d}) by (t - 1)"
+                )
+            if quotient_row:
+                quotient[parts] = quotient_row
         if quotient:
             form[d] = _lowest_terms(den, quotient)
     return SymSeries._from_int(s.n_max, form)
@@ -105,50 +77,27 @@ def _divexact_tminus1(s: SymSeries) -> SymSeries:
 def solve_B(M: SymSeries) -> SymSeries:
     """Solve for B degree by degree: B_n = M_n + S_n / (t - 1), with
     S_n = [B_<n o G]_n.  Nothing is imposed at n = 2: B_<2 is zero, so
-    B_2 = M_2 by the same rule.
+    B_2 = M_2.
 
-    S_n is one plethysm call of degree n on a snapshot of the components
-    solved so far, one packed accumulator for every k < n; it is divided by
-    (t - 1) as integer numerators over its denominator, a nonzero remainder
-    raising ValueError, and added to M_n.  Each B_n is held in integer form
-    at its least denominator, and B is truncated where M is."""
-    n_max = M.n_max
+    S_n is one plethysm call of degree n on the components solved so far,
+    one packed accumulator for every k < n; it is divided by (t - 1), a
+    nonzero remainder raising ValueError, and added to M_n, which leaves
+    B_n at its least denominator.  B is truncated where M is, and an input
+    truncated below degree 2 gives the zero series."""
+    if M.n_max < 2:
+        return SymSeries.zero(M.n_max)
     G = growth_series(M)
     cache = PlethysmCache(G)
-    form: dict[int, tuple[int, Rows]] = {}
-    for n in range(2, n_max + 1):
-        parts = [M._int[n]] if n in M._int else []
-        if form:
-            below = SymSeries._from_int(n_max, dict(form))  # B_<n, a copy: form gains B_n below
-            s_n = plethysm(below, G, cache, degree=n)._int.get(n)
-            if s_n:
-                den_s, rows_s = s_n
-                parts.append((den_s, _rows_over_tminus1(rows_s, den_s)))
-        if parts:
-            den, rows = _add_parts(*parts)
-            if rows:
-                form[n] = _lowest_terms(den, rows)
-    return SymSeries._from_int(n_max, form)
+    B = M.component(2)
+    for n in range(3, M.n_max + 1):
+        B = B + M.component(n) + _divexact_tminus1(plethysm(B, G, cache, degree=n))
+    return B
 
 
-def verify_functional_equation(
-    B: SymSeries, M: SymSeries, cache: PlethysmCache | None = None
-) -> bool:
-    """Recompute both sides of the fixed-point equation and compare.
-
-    An optional plethysm cache (keyed to this M's inner series) makes
-    repeated verification, e.g. under perturbations of B, cheap.
-    """
-    n_max = min(B.n_max, M.n_max)
-    G = growth_series(M)
-    if cache is not None:
-        if cache.g != G:
-            raise ValueError("plethysm cache was built for a different input series")
-        G = cache.g
-    h1 = SymSeries.p(1, n_max)
-    lhs = plethysm(h1 + B, G, cache)
-    rhs = h1 + B * T
-    return lhs == rhs
+def verify_functional_equation(B: SymSeries, M: SymSeries) -> bool:
+    """Recompute both sides of the fixed-point equation and compare."""
+    h1 = SymSeries.p(1, min(B.n_max, M.n_max))
+    return plethysm(h1 + B, growth_series(M)) == h1 + B * T
 
 
 def level_filtration(M: SymSeries) -> list[SymSeries]:

@@ -17,22 +17,24 @@ Schur inputs are converted on construction.
 Every series is held in one integer form, degree -> (denominator, ``Rows``):
 the terms of degree d are integer numerators over one positive denominator.
 All arithmetic runs on it.  A sum lifts the two parts of a degree to the lcm
-of their denominators and drops what cancels; a product multiplies
-numerators and denominators; ``psi`` relabels; ``==`` compares each degree
-at its least denominator (``_lowest_terms``), so it is exact equality of
-rational series whatever denominators the two forms hold.  Fractions live at
-the edges only: the public constructor takes terms as Fractions and
-validates every partition, exponent and coefficient (coefficients by
-``tpoly.exact``: ints and Fractions only, no floats, bools or strings), and
-``terms`` is a view built afresh on each read, for serialization, ``repr``
-and tests.  Products and plethysms neither divide nor reduce in their inner
-loops: each term of degree d of a plethysm table is held as an integer
-multiple of 1/d! (``PlethysmCache``), a scaling that is checked where it is
-made: a psi image that would not scale to an integer raises
-``ArithmeticError``.  A cache holds one family of tables, the products of
-psi images keyed by partition, and the table of a one-part partition (k) is
-psi(k, g) itself.  The exact division of an integer t-row by (t - 1),
-which the solver and the input series both need, is ``_over_tminus1``.
+of their denominators, drops what cancels and reduces the result to its
+least denominator (``_lowest_terms``), so a sum is canonical wherever it
+summed something; a product multiplies numerators and denominators; ``psi``
+relabels; ``==`` compares each degree at its least denominator, so it is
+exact equality of rational series whatever denominators the two forms hold.
+Fractions live at the edges only: the public constructor takes terms as
+Fractions and validates every partition, exponent and coefficient
+(coefficients by ``tpoly.exact``: ints and Fractions only, no floats, bools
+or strings), and ``terms`` is a view built afresh on each read, for
+serialization, ``repr`` and tests.  Products and plethysms neither divide
+nor reduce in their inner loops: each term of degree d of a plethysm table
+is held as an integer multiple of 1/d! (``PlethysmCache``), a scaling that
+is checked where it is made: a psi image that would not scale to an integer
+raises ``ArithmeticError``.  A cache holds one family of tables, the
+products of psi images keyed by partition, and the table of a one-part
+partition (k) is psi(k, g) itself.  The exact division of an integer t-row
+by (t - 1), which the solver and the input series both need, is
+``_over_tminus1``.
 
 Inside ``PlethysmCache`` and ``plethysm`` every integer t-row is one Python
 int packed at a width W (Kronecker substitution, evaluation at t = 2^W), so
@@ -168,25 +170,37 @@ class SymSeries:
     def is_zero(self) -> bool:
         return not self
 
+    def _known(self, d: int) -> tuple[int, Rows]:
+        """The (denominator, rows) of degree d, empty where the series has
+        no terms.  A series is unknown past its own n_max, so reading a
+        degree there raises ValueError."""
+        if d > self.n_max:
+            raise ValueError(
+                f"cannot read degree {d}: the series is known only through degree {self.n_max}"
+            )
+        return self._int.get(d, (1, {}))
+
     def coefficient(self, parts: Partition, k: int) -> Fraction:
         from fractions import Fraction
 
         parts = tuple(parts)
-        den, rows = self._int.get(sum(parts), (1, {}))
+        den, rows = self._known(sum(parts))
         return Fraction(rows.get(parts, {}).get(k, 0), den)
 
     def p_coefficient(self, parts: Partition) -> TPoly:
         """All t-exponents of one p-monomial collected into a polynomial."""
         parts = tuple(parts)
-        den, rows = self._int.get(sum(parts), (1, {}))
+        den, rows = self._known(sum(parts))
         row = rows.get(parts)
         if not row:
             return TPoly()
         return TPoly([ratio(row.get(i, 0), den) for i in range(max(row) + 1)])
 
     def component(self, n: int) -> "SymSeries":
-        """The homogeneous component of degree n, B_n of B (keeps n_max)."""
-        return SymSeries._from_int(self.n_max, {n: self._int[n]} if n in self._int else {})
+        """The homogeneous component of degree n, B_n of B (keeps n_max);
+        past n_max it raises ValueError."""
+        part = self._known(n)
+        return SymSeries._from_int(self.n_max, {n: part} if part[1] else {})
 
     @property
     def components(self) -> dict[int, "SymSeries"]:
@@ -220,6 +234,9 @@ class SymSeries:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "SymSeries":
+        """The sum, truncated at the smaller n_max.  A degree both summands
+        hold is summed and reduced to its least denominator; a degree only
+        one of them holds is shared as that one holds it."""
         if isinstance(other, int) or is_fraction(other):
             other = SymSeries(self.n_max, {((), 0): other})
         if not isinstance(other, SymSeries):
@@ -235,7 +252,7 @@ class SymSeries:
             else:
                 summed = _add_parts(mine, part)
                 if summed[1]:
-                    form[d] = summed
+                    form[d] = _lowest_terms(*summed)
                 else:
                     del form[d]
         return SymSeries._from_int(n_max, form)

@@ -144,16 +144,14 @@ def test_solve_any_input_series():
 
 
 def test_perturbation_breaks_equation(B8, M8):
-    cache = PlethysmCache(growth_series(M8))
     s4t = schur_series((4,), 8) * TPoly((0, 1))
-    assert not verify_functional_equation(B8 + s4t, M8, cache)
+    assert not verify_functional_equation(B8 + s4t, M8)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_any_component_perturbation_detected(B8, M8, n):
-    cache = PlethysmCache(growth_series(M8))
     bump = schur_series((n,), 8) * TPoly((0, 1))
-    assert not verify_functional_equation(B8 + bump, M8, cache)
+    assert not verify_functional_equation(B8 + bump, M8)
 
 
 def test_the_series_routes_return_one_symseries(M8, B8):
@@ -233,8 +231,14 @@ def test_solve_makes_one_plethysm_call_per_degree(monkeypatch, n_max):
     assert degrees == list(range(3, n_max + 1))
 
 
-def test_growth_series_on_integers_matches_the_fraction_route(M8):
-    assert growth_series(M8) == SymSeries.p(1, 8) + M8 * T_MINUS_ONE
+@pytest.mark.parametrize(
+    "M",
+    # the second input has a degree-1 part, where h_1 and (t - 1) M_1 are summed
+    [m_series(8), SymSeries(3, {((1,), 1): 1, ((2,), 0): 1})],
+    ids=["m_series(8)", "degree-1 part"],
+)
+def test_growth_series_on_integers_matches_the_fraction_route(M):
+    assert growth_series(M) == SymSeries.p(1, M.n_max) + M * T_MINUS_ONE
 
 
 def test_solve_builds_no_fraction_for_a_composed_piece(monkeypatch):
@@ -285,6 +289,33 @@ def test_integer_forms_are_at_the_least_denominator():
             c = series.component(n)
             as_fractions = SymSeries(c.n_max, c.terms)
             assert _numerators(c, n) == _numerators(as_fractions, n)
+
+
+def _held_form_digest(s: SymSeries) -> str:
+    held = [
+        (d, den, sorted((q, sorted(row.items())) for q, row in rows.items()))
+        for d, (den, rows) in sorted(s._int.items())
+    ]
+    return hashlib.sha256(repr(held).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (solve_B, "d2dcbeb3debf2ac2d356805d0e66f15ad0c96a20c007e6c307c3789b9fe06773"),
+        (growth_series, "45d4b8ad1d93986dd2753d34d242c2087d7a15317140aeb9566ac6fa8df03cdc"),
+    ],
+)
+def test_held_forms_are_pinned(build, digest):
+    """The denominator and integer rows held for each degree at n = 14, not
+    only the rational series: every output normalizes the denominators, but
+    they set the widths of the plethysms that read the series."""
+    assert _held_form_digest(build(m_series(14))) == digest
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_solve_below_degree_2_is_the_zero_series(n_max):
+    assert solve_B(m_series(4).truncate(n_max)) == SymSeries.zero(n_max)
 
 
 def test_tminus1_division_is_exact_or_loud():

@@ -94,6 +94,21 @@ def test_truncating_above_the_known_degree_raises():
     assert f.truncate(3) == SymSeries.h(2, 3)
 
 
+def test_reading_above_the_known_degree_raises():
+    # f is unknown past degree 4: a read there must not come back as zero
+    f = SymSeries.h(2, 4) + P((3, 1), 4, t=1)
+    reads = [
+        lambda: f.component(6),
+        lambda: f.coefficient((1,) * 6, 0),
+        lambda: f.p_coefficient((1,) * 6),
+    ]
+    for read in reads:
+        with pytest.raises(ValueError, match=r"degree 6: the series is known only through degree 4"):
+            read()
+    assert f.component(4) == P((3, 1), 4, t=1) and not f.component(3)
+    assert f.coefficient((3, 1), 1) == 1 and f.p_coefficient((3, 1)) == TPoly((0, 1))
+
+
 def test_truncation_on_multiply():
     a = P((2,), 3)
     b = P((2,), 3)
@@ -674,6 +689,14 @@ def test_integer_sum_and_difference_match_the_fraction_reference(pair):
     assert _well_formed(-g).terms == {tk: -c for tk, c in g.terms.items()}
     assert (f - f).is_zero() and not (f - f)._int
     assert (f + g == g + f) and ((f - g) + g == f.truncate(n_max))
+
+
+def test_a_sum_is_held_at_its_least_denominator_where_it_summed():
+    a = SymSeries(2, {((2,), 0): Fraction(1, 2)})
+    assert (a + a)._int == {2: (1, {(2,): {0: 1}})}
+    # a degree only one summand has is kept as that summand holds it
+    r = plethysm(SymSeries.h(2, 4), SymSeries.h(2, 4))
+    assert (r + P((2,), 4))._int[4] is r._int[4] and r._int[4][0] == 48
 
 
 def test_add_parts_sums_many_parts_over_different_denominators():
