@@ -3,7 +3,9 @@
 Both directions of the Murnaghan-Nakayama rule are implemented on
 first-column hook lengths (beta numbers): removing a border strip of size r
 lowers one beta number by r, adding one raises one by r, and the sign is
-read off from the number of beta numbers jumped over.
+read off from the number of beta numbers jumped over.  The adding form runs
+on bead masks, the beta numbers of a partition as the set bits of one int
+(`_partition`), so a strip is a few bit operations on it.
 
 `character_value` and `character_table` apply the removal form recursively,
 chi^lam(mu) = sum over strips lam/nu of size mu_1 of +-chi^nu(mu_2, ...).
@@ -16,8 +18,9 @@ largest first, multiplies its Schur vector by p_(last part of nu) and adds
 it into the node nu minus its last part.  Partitions that share a prefix
 share that work, and the root holds every <f, s_lam> at once.  Each t-row
 is one int packed at a proved width (`symseries._pack`), so adding a strip
-is one bigint addition.  The removal route stays as the independent oracle
-for it (`checks`, tests).
+is one bigint addition, and each Schur vector is keyed by bead masks, which
+are decoded to partitions once, at the root.  The removal route stays as
+the independent oracle for it (`checks`, tests).
 """
 
 from __future__ import annotations
@@ -49,32 +52,41 @@ def _strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
     return tuple(results)
 
 
-@lru_cache(maxsize=None)
-def _add_strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
-    """Partitions obtained by adding a border strip of size r, with signs.
+def _partition(mask: int) -> Partition:
+    """The partition of a bead mask.  With K beads, lam has bit
+    lam_i - i + K set for i = 1..K, lam padded with zero rows to K rows;
+    so the j-th lowest bead (j = 0, 1, ...) sits at lam_i + j, lam_i the
+    part of its row, and a bead at j is an empty row."""
+    parts = []
+    j = 0
+    while mask:
+        low = mask & -mask
+        p = low.bit_length() - 1 - j
+        if p:
+            parts.append(p)
+        mask ^= low
+        j += 1
+    return tuple(reversed(parts))
 
-    The exact inverse of `_strips`: (nu, sign) is listed for (lam, r) here
-    exactly when (lam, sign) is listed for (nu, r) there.  lam is padded with
-    r zero rows, enough for any strip of size r to end in.  Raising the beta
-    number of row i by r moves it up past the height h = i - j beta numbers
-    it jumps over: the strip's head lands in row j, and rows j+1..i each take
-    the part of the row above plus one.  Row j holds a part of lam (the head
-    stays below the row above it), so the result is lam up to row j, the
-    strip's rows, and lam past row i, with no padding left to strip.
+
+@lru_cache(maxsize=None)
+def _add_strips(mask: int, r: int) -> tuple[tuple[int, int], ...]:
+    """Bead masks obtained by adding a border strip of size r, with signs.
+
+    The exact inverse of `_strips` on bead masks (`_partition`):
+    adding a strip moves one bead r places up into a gap, so the movable
+    beads are those of mask & ~(mask >> r), and the strip's height, whose
+    parity is the sign, is the number of beads jumped over.  A strip is
+    found only where the result has no more rows than the mask has beads.
     """
-    parts = lam + (0,) * r
-    ell = len(parts)
-    betas = [p + (ell - 1 - i) for i, p in enumerate(parts)]
     results = []
-    for i, b in enumerate(betas):
-        nb = b + r
-        j = i
-        while j and betas[j - 1] < nb:
-            j -= 1
-        if j and betas[j - 1] == nb:
-            continue
-        new = lam[:j] + (nb - (ell - 1 - j),) + tuple(p + 1 for p in parts[j:i]) + lam[i + 1:]
-        results.append((new, -1 if (i - j) % 2 else 1))
+    movable = mask & ~(mask >> r)
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        high = low << r
+        height = (mask & (high - (low << 1))).bit_count()
+        results.append((mask ^ low ^ high, -1 if height & 1 else 1))
     return tuple(results)
 
 
@@ -150,12 +162,15 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
     Returns only the nonzero coefficients <f, s_lam>, as polynomials in t,
     in the order of `partitions_of(n)`.  Each term c t^k p_mu becomes entry k
     of an integer row over f's common denominator, packed into one int and
-    held at the node mu as the Schur vector {(): row}.  For j = n down to 1,
-    every node nu of size j multiplies its vector by p_r, r = nu[-1], through
-    `_add_strips`, and adds the result into the node nu[:-1]; the root ()
-    then holds p_mu = sum_lam chi^lam(mu) s_lam summed over f.  Each output
-    coefficient is its row entry over the denominator: an int where that
-    divides exactly, so an integral table builds no Fraction.
+    held at the node mu as the Schur vector {(): row}.  A vector is keyed by
+    bead masks with n beads, enough for any partition of at most n, so ()
+    is the mask of n beads at 0..n-1.  For j = n down to 1, every node nu of
+    size j multiplies its vector by p_r, r = nu[-1], through `_add_strips`,
+    and adds the result into the node nu[:-1]; the root () then holds
+    p_mu = sum_lam chi^lam(mu) s_lam summed over f, and its masks are
+    decoded to partitions.  Each output coefficient is its row entry over
+    the denominator: an int where that divides exactly, so an integral
+    table builds no Fraction.
 
     The packing width is proved: the entry k of the root's row lam is
     sum_mu chi^lam(mu) N_mu,k, and |chi^lam(mu)| <= f^lam <= sqrt(n!) since
@@ -171,10 +186,12 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
     den, rows = _numerators(f, n)
     l1 = sum(abs(v) for row in rows.values() for v in row.values())
     width = (isqrt(factorial(n)) * l1).bit_length() + 1
-    # nodes[j]: partition nu of size j -> its Schur vector {lam: packed t-row}
-    nodes: list[dict[Partition, dict[Partition, int]]] = [{} for _ in range(n + 1)]
+    # nodes[j]: partition nu of size j -> its Schur vector {bead mask: packed
+    # t-row}; every partition met has at most n rows, so n beads serve all
+    nodes: list[dict[Partition, dict[int, int]]] = [{} for _ in range(n + 1)]
+    empty = (1 << n) - 1  # n beads at 0..n-1
     for mu, row in rows.items():
-        nodes[n][mu] = {(): _pack(row, width)}
+        nodes[n][mu] = {empty: _pack(row, width)}
     for j in range(n, 0, -1):
         for nu, vec in nodes[j].items():
             r = nu[-1]
@@ -186,11 +203,12 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
         nodes[j] = {}
     root = nodes[0].get((), {})
     out: dict[Partition, TPoly] = {}
-    for lam in partitions_of(n):
-        x = root.get(lam)
+    # descending masks are reverse lexicographic partitions: partitions_of(n)'s order
+    for mask in sorted(root, reverse=True):
+        x = root[mask]
         if x:
             row = _unpack(x, width)
-            out[lam] = TPoly([ratio(row.get(k, 0), den) for k in range(max(row) + 1)])
+            out[_partition(mask)] = TPoly([ratio(row.get(k, 0), den) for k in range(max(row) + 1)])
     return out
 
 

@@ -83,7 +83,15 @@ def solve_B(M: SymSeries) -> SymSeries:
     one packed accumulator for every k < n; it is divided by (t - 1), a
     nonzero remainder raising ValueError, and added to M_n, which leaves
     B_n at its least denominator.  B is truncated where M is, and an input
-    truncated below degree 2 gives the zero series."""
+    truncated below degree 2 gives the zero series.
+
+    The linearization needs G_1 = h_1, so an input with a part of degree 0
+    or 1 raises ValueError naming that degree."""
+    low = min(M.degrees(), default=2)
+    if low < 2:
+        raise ValueError(
+            f"input series has a part of degree {low}: every part must have degree at least 2"
+        )
     if M.n_max < 2:
         return SymSeries.zero(M.n_max)
     G = growth_series(M)

@@ -167,9 +167,6 @@ class SymSeries:
             a[d] is b[d] or _lowest_terms(*a[d]) == _lowest_terms(*b[d]) for d in a
         )
 
-    def is_zero(self) -> bool:
-        return not self
-
     def _known(self, d: int) -> tuple[int, Rows]:
         """The (denominator, rows) of degree d, empty where the series has
         no terms.  A series is unknown past its own n_max, so reading a
@@ -538,6 +535,14 @@ class PlethysmCache:
     Keys are made for the partitions the cache meets, psi images on the way
     in and plethysm outputs on the way out (``partition`` decodes each once),
     never for every partition up to g.n_max.
+
+    The cache also keeps the rows of the outer series it has read
+    (``outer``), keyed by the held part (den, rows) of a degree they came
+    from, which no one changes once it is held: per row its l1 norm, its
+    product table and, once a plethysm's bound has covered it, the row
+    packed at W.  The solver's B_<n holds the same part for B_k in every
+    later degree, so each solved row is packed once per width, not once per
+    degree that reads it; ``fit`` repacks the kept rows with the tables.
     """
 
     max_width = 1 << 16  # a packed row of k + 1 coefficients then takes (k + 1) * 8 KiB
@@ -559,6 +564,8 @@ class PlethysmCache:
         self._parts: dict[int, Partition] = {}  # key -> partition, filled as keys are decoded
         self._prod: dict[Partition, IntTable] = {(): {0: {0: 1}}}
         self._prod_l1: dict[Partition, L1Bound] = {(): {0: 1}}
+        # id(part) -> (part, longest, its rows) for each part of an outer series read
+        self._outer: dict[int, tuple[tuple[int, Rows], int, list[_OuterRow]]] = {}
 
     def key(self, parts: Partition) -> int:
         """The int a cell of partition ``parts`` is keyed by."""
@@ -594,6 +601,10 @@ class PlethysmCache:
             for by_q in table.values():
                 for q, x in by_q.items():
                     by_q[q] = _pack(_unpack(x, self.width), width)
+        for _part, _longest, kept in self._outer.values():
+            for row in kept:
+                if row.packed is not None:
+                    row.packed = _pack(row.row, width)
         self.width = width
 
     def product(self, parts: Partition) -> IntTable:
@@ -642,6 +653,37 @@ class PlethysmCache:
             self._prod[parts] = table
         return table
 
+    def outer(self, part: tuple[int, Rows]) -> tuple[int, list[_OuterRow]]:
+        """(longest, rows) of one held part (den, rows) of an outer series:
+        the length of its longest partition, and its rows as this cache
+        keeps them for every later plethysm that reads the same part, which
+        no one changes once it is held."""
+        kept = self._outer.get(id(part))  # holds the part, so no other part gets its id
+        if kept is None:
+            rows = [
+                _OuterRow(len(q), row, self.product(q), self._prod_l1[q])
+                for q, row in part[1].items()
+            ]
+            kept = self._outer[id(part)] = (part, max(map(len, part[1]), default=0), rows)
+        return kept[1], kept[2]
+
+
+class _OuterRow:
+    """One t-row of an outer series, as a PlethysmCache keeps it: the length
+    of its partition q, the row, the product table of q and that table's l1
+    bound, the row's l1 norm, and the row packed at the cache width, or None
+    until a plethysm's bound first covers it.  ``fit`` repacks it."""
+
+    __slots__ = ("length", "row", "table", "l1", "norm", "packed")
+
+    def __init__(self, length: int, row: dict[int, int], table: IntTable, l1: L1Bound):
+        self.length = length
+        self.row = row
+        self.table = table
+        self.l1 = l1
+        self.norm = sum(map(abs, row.values()))
+        self.packed: int | None = None
+
 
 def plethysm(
     f: SymSeries, g: SymSeries, cache: PlethysmCache | None = None, degree: int | None = None
@@ -649,48 +691,60 @@ def plethysm(
     """Plethysm f o g: substitute p_k -> psi(k, g); t-powers of f are scalars.
 
     g must have no constant term.  The result is truncated at
-    min(f.n_max, g.n_max) and comes in integer form: f's coefficients are
-    brought to one denominator F, each row of f is packed once and multiplied
-    into every cell of its product table, and each output cell is unpacked
-    once; the terms of degree d are integers over F * L^l * d!, l the longest
-    partition of f.  The cache is first widened to the l1 bound of the sums.
-    The sums are keyed like the cache's cells, and an output cell's key is
-    decoded to its partition by the cache, which remembers each one.
+    min(f.n_max, g.n_max) and comes in integer form: the terms of degree d
+    are integers over F * L^l * d!, F the lcm of the denominators f holds
+    through the truncation and l the longest partition of f.  Each row of f
+    is read packed as the cache keeps it (``PlethysmCache.outer``), scaled by
+    one integer, (F / its degree's denominator) * L^(l - its length), and
+    multiplied into every cell of its product table; each output cell is
+    unpacked once.  The cache is first widened to the l1 bound of the sums,
+    and a row is packed only once it meets a nonempty cell, so the bound
+    covers it.  The sums are keyed like the cache's cells, and an output
+    cell's key is decoded to its partition by the cache, which remembers
+    each one.
 
     With ``degree`` = d the result is the degree-d component of f o g alone:
-    only the degree-d cells of each product table are multiplied, the bound
-    is summed over degree d only, and only the degree-d sums are unpacked.
-    A degree outside 0..min(f.n_max, g.n_max) raises ValueError.
+    only the degree-d cell of each product table is read and multiplied, the
+    bound is summed over degree d only, and only the degree-d sums are
+    unpacked.  A degree outside 0..min(f.n_max, g.n_max) raises ValueError.
     """
     if cache is None or cache.g is not g:
         cache = PlethysmCache(g)
     n_max = min(f.n_max, g.n_max)
     if degree is not None and not 0 <= degree <= n_max:
         raise ValueError(f"degree {degree} is outside the truncation 0..{n_max} of the plethysm")
-    den_f, rows = _numerators(f, n_max)
-    longest = max(map(len, rows), default=0)
-    lifts = {parts: cache.scale ** (longest - len(parts)) for parts in rows}
-    degrees = range(n_max + 1) if degree is None else range(degree, degree + 1)
-    # each row's nonempty product-table cells of the output degrees; fit
-    # repacks their dicts in place, so they stay the cache's cells
-    picked = {
-        parts: [(d, by_q) for d, by_q in cache.product(parts).items() if d in degrees and by_q]
-        for parts in rows
-    }
+    degrees = range(n_max + 1) if degree is None else (degree,)
+    held = [(part[0], cache.outer(part)) for d, part in f._int.items() if d <= n_max]
+    den_f = lcm(*(den for den, _outer in held))
+    longest = max((longest for _den, (longest, _rows) in held), default=0)
+    scale = cache.scale
+    # each row that meets a nonempty cell of an output degree, with its
+    # factor and those cells; fit repacks their dicts in place, so they stay
+    # the cache's cells
+    picked = []
     bound: L1Bound = {}
-    for parts, row in rows.items():
-        norm = sum(map(abs, row.values())) * lifts[parts]
-        l1 = cache._prod_l1[parts]
-        for d, _by_q in picked[parts]:
-            bound[d] = bound.get(d, 0) + norm * l1[d]
-    cache.fit(max(bound.values(), default=0))  # repacks the tables in place
+    for den, (_longest, rows) in held:
+        lift = den_f // den
+        for row in rows:
+            get = row.table.get
+            cells = [(d, by_q) for d in degrees if (by_q := get(d))]
+            if cells:
+                factor = lift * scale ** (longest - row.length)
+                norm = row.norm * factor
+                l1 = row.l1
+                for d, _by_q in cells:
+                    bound[d] = bound.get(d, 0) + norm * l1[d]
+                picked.append((row, factor, cells))
+    cache.fit(max(bound.values(), default=0))  # repacks the tables and kept rows in place
     width = cache.width
     acc: IntTable = {}
-    for parts, row in rows.items():
-        if not picked[parts]:  # packed only if it meets a cell: only then does the bound cover it
-            continue
-        x = _pack(row, width) * lifts[parts]
-        for d, by_q in picked[parts]:
+    for row, factor, cells in picked:
+        x = row.packed
+        if x is None:  # packed only once a bound covers it
+            x = row.packed = _pack(row.row, width)
+        if factor != 1:
+            x *= factor
+        for d, by_q in cells:
             acc_d = acc.get(d)
             if acc_d is None:
                 acc_d = acc[d] = {}
@@ -703,7 +757,7 @@ def plethysm(
         cells = acc.pop(d)  # freed degree by degree as it is unpacked
         out = {partition(q): _unpack(x, width) for q, x in cells.items() if x}
         if out:
-            form[d] = (den_f * cache.scale**longest * factorial(d), out)
+            form[d] = (den_f * scale**longest * factorial(d), out)
     return SymSeries._from_int(n_max, form)
 
 

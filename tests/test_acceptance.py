@@ -123,7 +123,7 @@ def test_criterion_9_plethysm_laws(capsys):
             f = _random_series(rng, 8, 3, pure_sym=False)
             g = _random_series(rng, 8, 3, pure_sym=False)
             h = _random_series(rng, 8, 2, pure_sym=True)
-            if h.coefficient((), 0) != 0 or h.is_zero():
+            if h.coefficient((), 0) != 0 or not h:
                 continue
             cache = PlethysmCache(h)
             assert plethysm(f + g, h, cache) == plethysm(f, h, cache) + plethysm(g, h, cache)
@@ -139,7 +139,7 @@ def test_criterion_9_plethysm_laws(capsys):
             f = _random_series(rng, 6, 2, pure_sym=False)
             g = _random_series(rng, 6, 2, pure_sym=True)
             h = _random_series(rng, 6, 2, pure_sym=True)
-            if g.is_zero() or h.is_zero():
+            if not g or not h:
                 continue
             assert plethysm(plethysm(f, g), h) == plethysm(f, plethysm(g, h))
             checked += 1

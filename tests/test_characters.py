@@ -7,6 +7,7 @@ from hypothesis import example, given
 
 from braidchow.characters import (
     _add_strips,
+    _partition,
     _strips,
     character_table,
     character_value,
@@ -121,20 +122,39 @@ def test_character_value_rejects_partitions_of_different_sizes():
         assert str(lam) in str(err.value) and str(mu) in str(err.value)
 
 
-def test_adding_a_strip_inverts_removing_one():
-    # (lam, sign) in add(nu, r) <=> (nu, sign) in remove(lam, r), for |nu| <= 10, |lam| <= 12
-    removed = {}
-    for m in range(1, 13):
+def bead_mask(lam, beads):
+    """The bead mask of lam with beads >= len(lam) beads: bit lam_i - i + beads
+    for i = 1..beads, lam padded with zero rows."""
+    padded = lam + (0,) * (beads - len(lam))
+    return sum(1 << (p - i + beads) for i, p in enumerate(padded, start=1))
+
+
+def test_bead_masks_decode_to_their_partition():
+    assert bead_mask((), 4) == 0b1111 and bead_mask((3, 1), 2) == 0b10010
+    for m in range(13):
         for lam in partitions_of(m):
-            for r in range(1, m + 1):
+            for beads in (len(lam), len(lam) + 1, m + 3):
+                assert _partition(bead_mask(lam, beads)) == lam
+
+
+def test_adding_a_strip_inverts_removing_one():
+    # (lam, sign) in add(nu, r) <=> (nu, sign) in remove(lam, r), for |nu| <= 10
+    # and r <= 10 (r <= 12 - |nu| as well), on masks with as many beads as the
+    # result can have rows and with more
+    removed = {}
+    for m in range(1, 21):
+        for lam in partitions_of(m):
+            for r in range(1, min(m, 12) + 1):
                 for nu, sign in _strips(lam, r):
                     removed.setdefault((nu, r), set()).add((lam, sign))
     for m in range(11):
         for nu in partitions_of(m):
-            for r in range(1, 13 - m):
-                added = _add_strips(nu, r)
-                assert len(set(added)) == len(added)
-                assert set(added) == removed.get((nu, r), set()), (nu, r)
+            for r in range(1, max(11, 13 - m)):
+                for beads in (len(nu) + r, m + r + 2):
+                    added = _add_strips(bead_mask(nu, beads), r)
+                    added = [(_partition(sup), sign) for sup, sign in added]
+                    assert len(set(added)) == len(added)
+                    assert set(added) == removed.get((nu, r), set()), (nu, r, beads)
 
 
 def test_schur_expand_h2():

@@ -318,6 +318,45 @@ def test_solve_below_degree_2_is_the_zero_series(n_max):
     assert solve_B(m_series(4).truncate(n_max)) == SymSeries.zero(n_max)
 
 
+@pytest.mark.parametrize(
+    "low, degree",
+    [(SymSeries(5, {((1,), 1): 1}), 1), (SymSeries(5, {((), 0): Fraction(1, 2)}), 0)],
+    ids=["degree-1 part", "constant term"],
+)
+def test_solve_refuses_a_part_below_degree_2(monkeypatch, low, degree):
+    """The linearization holds only while G_1 = h_1: with a part of degree 1
+    the returned B would fail the functional equation.  The input is refused
+    before any plethysm."""
+    monkeypatch.setattr(solver, "plethysm", None)  # any plethysm call would fail differently
+    with pytest.raises(ValueError, match=rf"part of degree {degree}"):
+        solve_B(m_series(5) + low)
+    with pytest.raises(ValueError, match=rf"part of degree {degree}"):
+        solve_B(low.truncate(1))
+
+
+def test_solve_packs_each_solved_row_once_per_width(monkeypatch):
+    """The rows of B_2..B_15 are packed as they are held, by the cache that
+    keeps them: at most once per cache width, not once per degree that reads
+    them.  A row of p_q with a part 1 meets the degree |q| + 1 cell of its
+    table, so it is packed at least once."""
+    packed = []  # (row, width); the rows are kept alive, so ids stay distinct
+    pack = symseries._pack
+
+    def recording_pack(row, width):
+        packed.append((row, width))
+        return pack(row, width)
+
+    monkeypatch.setattr(symseries, "_pack", recording_pack)
+    B = solve_B(m_series(16))
+    held = {id(row): q for n in range(2, 16) for q, row in B._int[n][1].items()}
+    per_width = Counter((id(row), width) for row, width in packed if id(row) in held)
+    times = Counter(row_id for row_id, _width in per_width)
+    widths = {width for _row, width in packed}
+    assert max(per_width.values()) == 1
+    assert all(times[row_id] <= len(widths) for row_id in held)
+    assert all(times[row_id] for row_id, q in held.items() if q[-1] == 1)
+
+
 def test_tminus1_division_is_exact_or_loud():
     f = SymSeries.h(3, 4) + SymSeries(4, {((2, 1), 2): Fraction(5, 3), ((4,), 0): Fraction(1, 7)})
     assert solver._divexact_tminus1(f * T_MINUS_ONE) == f
