@@ -33,7 +33,6 @@ _EXPORTS = {
     "m_series": "pointcounts",
     "necklace": "pointcounts",
     "twisted_count": "pointcounts",
-    "equivariant_table": "solver",
     "hnum_from_solver": "solver",
     "level_filtration": "solver",
     "solve_B": "solver",

@@ -9,7 +9,6 @@ on bead masks, the beta numbers of a partition as the set bits of one int
 
 `character_value` and `character_table` apply the removal form recursively,
 chi^lam(mu) = sum over strips lam/nu of size mu_1 of +-chi^nu(mu_2, ...).
-`schur_series` reads them.
 
 `schur_expand` applies the adding form, p_r s_nu = sum +-s_lam over strips
 lam/nu of size r, straight to a series' integer rows, and builds no
@@ -27,9 +26,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, isqrt
+from types import MappingProxyType
 
-from .partitions import Partition, partitions_of, z_lambda
-from .symseries import SymSeries, _numerators, _pack, _unpack
+from .partitions import Partition, partitions_of
+from .symseries import SymSeries, _pack, _unpack
 from .tpoly import TPoly, ratio
 
 
@@ -105,55 +105,15 @@ def character_value(lam: Partition, mu: Partition) -> int:
     return _character_value(lam, mu)
 
 
-class CharacterTable:
-    """The integer character table of S_n, values[(lam, mu)] = chi^lam(mu).
-    Immutable: ``character_table`` hands the same instance to every caller."""
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values: dict[tuple[Partition, Partition], int]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def chi(self, lam: Partition, mu: Partition) -> int:
-        return self.values[(lam, mu)]
-
-    def dimension(self, lam: Partition) -> int:
-        return self.values[(lam, (1,) * self.n)]
-
-
 @lru_cache(maxsize=None)
-def character_table(n: int) -> CharacterTable:
-    """Full integer character table of the symmetric group on n letters."""
+def character_table(n: int) -> MappingProxyType[tuple[Partition, Partition], int]:
+    """Full integer character table of the symmetric group on n letters,
+    read as table[lam, mu] = chi^lam(mu).  Read-only: every caller shares
+    one table."""
     if n < 1:
         raise ValueError("n must be positive")
     lams = partitions_of(n)
-    values = {(lam, mu): _character_value(lam, mu) for lam in lams for mu in lams}
-    return CharacterTable(n, values)
-
-
-def schur_series(lam: Partition, n_max: int | None = None) -> SymSeries:
-    """The Schur function s_lam in the power-sum basis."""
-    from fractions import Fraction
-
-    n = sum(lam)
-    if n_max is None:
-        n_max = n
-    table = character_table(n) if n else None
-    terms = {}
-    if n == 0:
-        return SymSeries.one(n_max)
-    for mu in partitions_of(n):
-        c = table.chi(lam, mu)
-        if c:
-            terms[(mu, 0)] = Fraction(c, z_lambda(mu))
-    return SymSeries(n_max, terms)
+    return MappingProxyType({(lam, mu): _character_value(lam, mu) for lam in lams for mu in lams})
 
 
 def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
@@ -170,7 +130,8 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
     p_mu = sum_lam chi^lam(mu) s_lam summed over f, and its masks are
     decoded to partitions.  Each output coefficient is its row entry over
     the denominator: an int where that divides exactly, so an integral
-    table builds no Fraction.
+    table builds no Fraction.  A degree n past f.n_max, where f is unknown,
+    raises ValueError.
 
     The packing width is proved: the entry k of the root's row lam is
     sum_mu chi^lam(mu) N_mu,k, and |chi^lam(mu)| <= f^lam <= sqrt(n!) since
@@ -183,7 +144,7 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if not f.is_homogeneous(n):
         raise ValueError(f"series is not homogeneous of degree {n}")
-    den, rows = _numerators(f, n)
+    den, rows = f._known(n)
     l1 = sum(abs(v) for row in rows.values() for v in row.values())
     width = (isqrt(factorial(n)) * l1).bit_length() + 1
     # nodes[j]: partition nu of size j -> its Schur vector {bead mask: packed
@@ -210,13 +171,3 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
             row = _unpack(x, width)
             out[_partition(mask)] = TPoly([ratio(row.get(k, 0), den) for k in range(max(row) + 1)])
     return out
-
-
-def schur_combination(coeffs: dict[Partition, TPoly], n_max: int | None = None) -> SymSeries:
-    """Rebuild sum c_lam(t) s_lam as a power-sum series (inverse of schur_expand)."""
-    if n_max is None:
-        n_max = max((sum(lam) for lam in coeffs), default=0)
-    acc = SymSeries.zero(n_max)
-    for lam, poly in coeffs.items():
-        acc = acc + schur_series(lam, n_max) * poly
-    return acc

@@ -241,7 +241,7 @@ def check_structural(n_max: int, schur_max: int):
         for mu in partitions_of(n):
             value = TPoly()
             for lam, poly in table.items():
-                value = value + poly * chars.chi(lam, mu)
+                value = value + poly * chars[lam, mu]
             if not (value.has_integer_coeffs() and all(c >= 0 for c in value.coeffs)):
                 raise CheckFailed(f"character value at mu={mu}, n={n} is not nonnegative integral")
 
@@ -262,7 +262,7 @@ def check_level_filtration(n_max: int):
                     raise CheckFailed(f"layer {k} has a degree-{n} part")
 
 
-@_check("level tree census", (None, 6))  # walks trees: capped where that gets slow
+@_check("level tree census", (None, 6))  # walks the set-partition lattice: capped where slow
 def check_tree_census(n_max: int):
     for n in range(2, n_max + 1):
         census = level_tree_census(n)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import Partition
 from .pointcounts import m_series
 from .symseries import PlethysmCache, Rows, SymSeries, _lowest_terms, _over_tminus1, plethysm, rk
 from .tpoly import TPoly, T
@@ -131,15 +130,6 @@ def level_filtration(M: SymSeries) -> list[SymSeries]:
 def solved_series(n_max: int) -> SymSeries:
     """Input construction plus solver, cached per truncation degree."""
     return solve_B(m_series(n_max))
-
-
-def equivariant_table(n: int) -> dict[Partition, TPoly]:
-    """Schur coefficients of the degree-n solution component."""
-    from .characters import schur_expand
-
-    if n < 2:
-        raise ValueError("the table starts at n = 2")
-    return schur_expand(solved_series(n).component(n), n)
 
 
 def hnum_from_solver(B: SymSeries) -> dict[int, TPoly]:

@@ -177,13 +177,6 @@ class SymSeries:
             )
         return self._int.get(d, (1, {}))
 
-    def coefficient(self, parts: Partition, k: int) -> Fraction:
-        from fractions import Fraction
-
-        parts = tuple(parts)
-        den, rows = self._known(sum(parts))
-        return Fraction(rows.get(parts, {}).get(k, 0), den)
-
     def p_coefficient(self, parts: Partition) -> TPoly:
         """All t-exponents of one p-monomial collected into a polynomial."""
         parts = tuple(parts)
@@ -501,6 +494,10 @@ class PlethysmCache:
     """Reusable per-inner-series state: one family of tables, the partition
     products, keyed by partition.
 
+    g has no degree-0 part, neither a constant nor a term in t alone (a cache
+    refuses one): p_lambda o g would have low-degree parts however large
+    lambda is, so f o g would read terms of f past f.n_max.
+
     All plethysms against one fixed inner series g share the expensive
     pieces: the products prod_i psi(lambda_i, g) depend only on g and the
     partition, not on the outer series.  The table of a one-part partition
@@ -548,9 +545,11 @@ class PlethysmCache:
     max_width = 1 << 16  # a packed row of k + 1 coefficients then takes (k + 1) * 8 KiB
 
     def __init__(self, g: SymSeries):
-        _den, rows_0 = g._int.get(0, (1, {}))
-        if rows_0.get((), {}).get(0):
-            raise ValueError("inner series of a plethysm must have no constant term")
+        if 0 in g._int:
+            raise ValueError(
+                "inner series of a plethysm must have no degree-0 part,"
+                " neither a constant nor a term in t alone"
+            )
         self.g = g
         self.scale = 1
         for d, (den, rows) in g._int.items():
@@ -690,7 +689,7 @@ def plethysm(
 ) -> SymSeries:
     """Plethysm f o g: substitute p_k -> psi(k, g); t-powers of f are scalars.
 
-    g must have no constant term.  The result is truncated at
+    g must have no degree-0 part.  The result is truncated at
     min(f.n_max, g.n_max) and comes in integer form: the terms of degree d
     are integers over F * L^l * d!, F the lcm of the denominators f holds
     through the truncation and l the longest partition of f.  Each row of f

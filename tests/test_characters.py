@@ -11,9 +11,7 @@ from braidchow.characters import (
     _strips,
     character_table,
     character_value,
-    schur_combination,
     schur_expand,
-    schur_series,
 )
 from braidchow.partitions import partitions_of, z_lambda
 from braidchow.solver import solved_series
@@ -35,8 +33,8 @@ def hook_length_dimension(lam):
 
 def test_s2_table():
     t = character_table(2)
-    assert t.chi((2,), (1, 1)) == 1 and t.chi((2,), (2,)) == 1
-    assert t.chi((1, 1), (1, 1)) == 1 and t.chi((1, 1), (2,)) == -1
+    assert t[(2,), (1, 1)] == 1 and t[(2,), (2,)] == 1
+    assert t[(1, 1), (1, 1)] == 1 and t[(1, 1), (2,)] == -1
 
 
 def test_s3_table():
@@ -53,13 +51,13 @@ def test_s3_table():
         ((1, 1, 1), (3,)): 1,
     }
     for (lam, mu), value in known.items():
-        assert t.chi(lam, mu) == value
+        assert t[lam, mu] == value
 
 
 def test_trivial_row_is_ones():
     for n in range(1, 8):
         t = character_table(n)
-        assert all(t.chi((n,), mu) == 1 for mu in partitions_of(n))
+        assert all(t[(n,), mu] == 1 for mu in partitions_of(n))
 
 
 def test_sign_row():
@@ -67,14 +65,14 @@ def test_sign_row():
     for n in range(1, 8):
         t = character_table(n)
         for mu in partitions_of(n):
-            assert t.chi((1,) * n, mu) == (-1) ** (n - len(mu))
+            assert t[(1,) * n, mu] == (-1) ** (n - len(mu))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_dimensions_match_hook_lengths(n):
     t = character_table(n)
     for lam in partitions_of(n):
-        assert t.dimension(lam) == hook_length_dimension(lam)
+        assert t[lam, (1,) * n] == hook_length_dimension(lam)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -82,26 +80,28 @@ def test_column_orthogonality(n):
     t = character_table(n)
     for mu in partitions_of(n):
         for nu in partitions_of(n):
-            total = sum(t.chi(lam, mu) * t.chi(lam, nu) for lam in partitions_of(n))
+            total = sum(t[lam, mu] * t[lam, nu] for lam in partitions_of(n))
             assert total == (z_lambda(mu) if mu == nu else 0)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sum_of_squared_dimensions(n):
     t = character_table(n)
-    assert sum(t.dimension(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
+    assert sum(t[lam, (1,) * n] ** 2 for lam in partitions_of(n)) == factorial(n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_character_table_reads_character_value(n):
     t = character_table(n)
+    assert len(t) == len(partitions_of(n)) ** 2
     for lam in partitions_of(n):
-        assert t.dimension(lam) == character_value(lam, (1,) * n)
         for mu in partitions_of(n):
-            assert t.chi(lam, mu) == character_value(lam, mu)
-    with pytest.raises(AttributeError):
-        t.n = n + 1
-    assert t.n == n
+            assert t[lam, mu] == character_value(lam, mu)
+    # one read-only table, shared by every caller
+    assert character_table(n) is t
+    with pytest.raises(TypeError):
+        t[(n,), (n,)] = 0
+    assert t[(n,), (n,)] == 1
 
 
 def test_character_value_standalone():
@@ -172,18 +172,23 @@ def test_schur_expand_rejects_inhomogeneous():
         schur_expand(f, 3)
 
 
+def test_schur_expand_rejects_a_degree_past_the_known_one():
+    # a series known through degree 4 says nothing of degree 6: no empty table
+    with pytest.raises(ValueError, match=r"degree 6: the series is known only through degree 4"):
+        schur_expand(SymSeries.zero(4), 6)
+
+
 def test_schur_expand_in_degree_zero():
     assert schur_expand(SymSeries.one(0), 0) == {(): TPoly.const(1)}
-    assert schur_combination({(): TPoly.const(1)}, 0) == SymSeries.one(0)
     assert schur_expand(SymSeries.zero(0), 0) == {}
     with pytest.raises(ValueError):
         schur_expand(SymSeries.zero(0), -1)
 
 
-def test_schur_series_h_and_e():
-    # s_(n) = h_n; s_(1^n) has p-expansion with signs of the sign character
+def test_schur_expand_h_and_e():
+    # h_n = s_(n); e_n, the p-expansion with signs of the sign character, is s_(1^n)
     for n in range(1, 7):
-        assert schur_series((n,)) == SymSeries.h(n)
+        assert schur_expand(SymSeries.h(n), n) == {(n,): TPoly.const(1)}
         e_n = SymSeries(
             n,
             {
@@ -191,17 +196,19 @@ def test_schur_series_h_and_e():
                 for mu in partitions_of(n)
             },
         )
-        assert schur_series((1,) * n) == e_n
+        assert schur_expand(e_n, n) == {(1,) * n: TPoly.const(1)}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_expand_then_combine_is_identity(n):
-    # a graded series with mixed t-powers round-trips through the Schur basis
+def test_schur_expand_of_a_mixed_t_series_by_hook_lengths(n):
+    # p_1^n = sum_lam f^lam s_lam, the regular representation, with the
+    # dimensions f^lam by hook lengths, so h_n + 2t p_1^n has the table below
     f = SymSeries.h(n, n) + SymSeries.p((1,) * n, n) * TPoly((0, 2))
-    table = schur_expand(f, n)
-    assert schur_combination(table, n) == f
-    for lam, poly in table.items():
-        assert sum(lam) == n and poly
+    expected = {lam: TPoly((0, 2 * hook_length_dimension(lam))) for lam in partitions_of(n)}
+    expected[(n,)] = TPoly((1, 2))
+    got = schur_expand(f, n)
+    assert got == expected
+    assert tuple(got) == partitions_of(n)
 
 
 def homogeneous_series(max_n=7):
@@ -221,7 +228,7 @@ def character_table_expansion(f, n):
     expected = {}
     for lam in partitions_of(n):
         coeffs = [
-            sum((f.coefficient(mu, k) * table.chi(lam, mu) for mu in partitions_of(n)), Fraction(0))
+            sum((f.p_coefficient(mu)[k] * table[lam, mu] for mu in partitions_of(n)), Fraction(0))
             for k in range(f.t_degree() + 1)
         ]
         if any(coeffs):

@@ -9,14 +9,13 @@ from math import factorial
 import pytest
 
 from braidchow import cli, numeric, solver, symseries
-from braidchow.characters import schur_expand, schur_series
+from braidchow.characters import schur_expand
 from braidchow.combinat import omega_shifted, set_partition_sizes, set_partitions
 from braidchow.numeric import euler_chars, hnum_bell, hnum_lattice, hnum_stirling
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
 from braidchow.serialize import series_to_obj
 from braidchow.solver import (
-    equivariant_table,
     growth_series,
     hnum_from_solver,
     level_filtration,
@@ -71,16 +70,6 @@ def test_component_5(B8):
 def test_reference_table_rows(B8, n):
     got = schur_expand(B8.component(n), n)
     assert got == {lam: TPoly(cs) for lam, cs in REFERENCE_TABLE[n].items()}
-
-
-def test_equivariant_table_convenience():
-    assert equivariant_table(4) == {
-        (4,): TPoly((1, 3, 1)),
-        (3, 1): TPoly((0, 1)),
-        (2, 2): TPoly((0, 1)),
-    }
-    with pytest.raises(ValueError):
-        equivariant_table(1)
 
 
 def test_component_t_degrees(B8):
@@ -144,13 +133,13 @@ def test_solve_any_input_series():
 
 
 def test_perturbation_breaks_equation(B8, M8):
-    s4t = schur_series((4,), 8) * TPoly((0, 1))
+    s4t = SymSeries.h(4, 8) * TPoly((0, 1))
     assert not verify_functional_equation(B8 + s4t, M8)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_any_component_perturbation_detected(B8, M8, n):
-    bump = schur_series((n,), 8) * TPoly((0, 1))
+    bump = SymSeries.h(n, 8) * TPoly((0, 1))
     assert not verify_functional_equation(B8 + bump, M8)
 
 
@@ -523,6 +512,6 @@ def test_character_values_nonnegative(B8):
         for mu in partitions_of(n):
             value = TPoly()
             for lam, poly in table.items():
-                value = value + poly * chars.chi(lam, mu)
+                value = value + poly * chars[lam, mu]
             assert all(c >= 0 for c in value.coeffs), (n, mu)
             assert value.has_integer_coeffs()

@@ -99,14 +99,13 @@ def test_reading_above_the_known_degree_raises():
     f = SymSeries.h(2, 4) + P((3, 1), 4, t=1)
     reads = [
         lambda: f.component(6),
-        lambda: f.coefficient((1,) * 6, 0),
         lambda: f.p_coefficient((1,) * 6),
     ]
     for read in reads:
         with pytest.raises(ValueError, match=r"degree 6: the series is known only through degree 4"):
             read()
     assert f.component(4) == P((3, 1), 4, t=1) and not f.component(3)
-    assert f.coefficient((3, 1), 1) == 1 and f.p_coefficient((3, 1)) == TPoly((0, 1))
+    assert f.p_coefficient((3, 1)) == TPoly((0, 1))
 
 
 def test_truncation_on_multiply():
@@ -270,6 +269,13 @@ def test_h2_circ_h2_against_orbit_oracle():
 def test_plethysm_rejects_constant_term():
     with pytest.raises(ValueError):
         plethysm(SymSeries.h(2, 4), SymSeries.one(4))
+    # a term in t alone is refused too: with g = t + p_1, f = p_1 and
+    # f' = p_1 + p_1^3 agree through degree 2, but (t + p_1)^3 would put
+    # t^3, 3 p_1 t^2 and 3 p_11 t into f' o g below degree 3
+    g = SymSeries(3, {((), 1): 1, ((1,), 0): 1})
+    for f in (SymSeries.p(1, 2), SymSeries.p(1, 3) + SymSeries.p((1, 1, 1), 3)):
+        with pytest.raises(ValueError, match="no degree-0 part"):
+            plethysm(f, g)
 
 
 @given(series(), series(), inner_series())
@@ -309,15 +315,13 @@ def reference_plethysm(f, g):
 
 def odd_inner_series(n_max=6):
     """Inner series whose denominators need not divide the factorial of
-    their degree (1/7 p_1, 1/11 p_2 t, ...), plus pure-t terms of degree 0."""
+    their degree (1/7 p_1, 1/11 p_2 t, ...)."""
     coeff = st.builds(
         Fraction,
         st.integers(min_value=-5, max_value=5).filter(bool),
         st.integers(min_value=1, max_value=12),
     )
-    keys = st.tuples(
-        st.one_of(partitions(3), st.just(())), st.integers(min_value=0, max_value=2)
-    ).filter(lambda key: key != ((), 0))
+    keys = st.tuples(partitions(3), st.integers(min_value=0, max_value=2))
     return st.dictionaries(keys, coeff, min_size=1, max_size=3).map(
         lambda terms: SymSeries(n_max, terms)
     )
@@ -432,9 +436,7 @@ def test_a_width_too_narrow_raises():
 
 
 def test_a_plethysm_that_widens_the_cache_matches_the_reference():
-    g = SymSeries(
-        6, {((1,), 0): Fraction(1, 7), ((2,), 1): Fraction(-3, 4), ((), 1): Fraction(1, 2)}
-    )
+    g = SymSeries(6, {((1,), 0): Fraction(1, 7), ((2,), 1): Fraction(-3, 4)})
     cache = PlethysmCache(g)
     small = SymSeries.h(3, 6) + P((1, 1), 6, t=1)
     assert plethysm(small, g, cache).terms == reference_plethysm(small, g)
