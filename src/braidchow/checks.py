@@ -10,17 +10,21 @@ from --max-n, and the acceptance tests run them at pinned bounds.  The runner
 reports one status line per check and stops nothing, so a single run shows
 everything that is broken.  Checks run in the order they are defined; order
 matters only cosmetically: the cheapest, most diagnostic checks come first.
+
+The JSON readers ``series_from_obj`` and ``schur_table_from_obj``, the
+inverses of the ``serialize`` writers, live here beside the "serialization
+round-trip" check, their one caller, so that no other command compiles them.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import factorial
 from typing import Callable
 
-from . import combinat
+from . import numeric
 from .characters import character_table, schur_expand
-from .combinat import bell_partial, omega, omega_shifted
 from .leveltrees import (
     chain_counts_by_length,
     enumerate_level_trees,
@@ -29,13 +33,13 @@ from .leveltrees import (
     unprune,
 )
 from .numeric import euler_chars, hnum_bell, hnum_lattice, hnum_stirling
-from .partitions import partitions_of
+from .partitions import Partition, is_partition, partitions_of
 from .pointcounts import m_series, twisted_count
 from .reference import REFERENCE_TABLE
-from .serialize import schur_table_from_obj, schur_table_to_obj, series_from_obj, series_to_obj
+from .serialize import schur_table_to_obj, series_to_obj
 from .solver import hnum_from_solver, level_filtration, solved_series, verify_functional_equation
 from .symseries import SymSeries, plethysm
-from .tpoly import TPoly, T_MINUS_ONE
+from .tpoly import TPoly, T_MINUS_ONE, check_exponent
 
 
 class CheckFailed(Exception):
@@ -65,7 +69,7 @@ def _check(name: str, *bounds: tuple[int | None, int | None]):
 def check_stirling_bell_identity(n_max: int):
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            if not combinat.stirling_bell_identity_check(n, k):
+            if not numeric.stirling_bell_identity_check(n, k):
                 raise CheckFailed(f"Stirling-Bell identity fails at (n, k) = ({n}, {k})")
 
 
@@ -74,7 +78,7 @@ def check_stirling_inversion(n_max: int):
     for n in range(n_max + 1):
         for k in range(n_max + 1):
             total = sum(
-                combinat.stirling_first_signed(n, j) * combinat.stirling_second(j, k)
+                numeric.stirling_first_signed(n, j) * numeric.stirling_second(j, k)
                 for j in range(k, n + 1)
             )
             expected = 1 if n == k else 0
@@ -86,7 +90,8 @@ def check_stirling_inversion(n_max: int):
 def check_bell_limit(n_max: int):
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            poly = bell_partial(n, k, [omega_shifted(i) for i in range(1, n - k + 2)])
+            args = [numeric.omega_shifted(i) for i in range(1, n - k + 2)]
+            poly = numeric.bell_partial(n, k, args)
             value = poly.divexact(T_MINUS_ONE).eval(1)
             expected = Fraction(
                 factorial(n) * (-1) ** (n - k - 1) * factorial(n - k - 1),
@@ -102,7 +107,7 @@ def check_omega_closed_form(n_max: int):
         closed = TPoly.const(1)
         for i in range(n - 1):
             closed = closed * TPoly((-i, 1))
-        if omega(n) != closed:
+        if numeric.omega(n) != closed:
             raise CheckFailed(f"omega({n}) differs from its closed form")
 
 
@@ -148,7 +153,7 @@ def check_input_rank_polys(n_max: int):
             expected = expected * TPoly((-j, 1))
         if got != expected:
             raise CheckFailed(f"input component {n} differs from prod_(j=2..{n - 1}) (t - j)")
-        if omega_shifted(n).divexact(T_MINUS_ONE) != expected:
+        if numeric.omega_shifted(n).divexact(T_MINUS_ONE) != expected:
             raise CheckFailed(
                 f"omega_{n}(t - 1)/(t - 1) differs from prod_(j=2..{n - 1}) (t - j)"
             )
@@ -289,6 +294,91 @@ def check_pruning_roundtrip(n_max: int):
             pruned, assignment = tree.prune()
             if unprune(pruned, assignment) != tree:
                 raise CheckFailed("pruning round-trip failed")
+
+
+# -- the JSON readers, inverse of the ``serialize`` writers ------------------
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _exact(value, what: str) -> Fraction:
+    """An exact coefficient: an int (not a bool) or a rational string such as
+    "3" or "-1/2".  Floats, decimal strings and anything else raise ValueError
+    naming ``what``."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        num, _, den = value.partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"{what}: zero denominator")
+        return Fraction(int(num), int(den or 1))
+    raise ValueError(f"{what}: coefficient must be an int or an exact rational string")
+
+
+def _partition(value, what: str) -> Partition:
+    """A list of weakly decreasing positive ints (not bools) as a partition."""
+    if isinstance(value, list) and is_partition(tuple(value)):
+        return tuple(value)
+    raise ValueError(f"{what}: partition must be a list of weakly decreasing positive ints")
+
+
+def _record(obj, keys: tuple[str, ...], what: str) -> tuple:
+    """The values of ``keys`` in the JSON object ``obj``; ValueError if it is
+    not a dict or lacks one of them."""
+    if not isinstance(obj, dict) or any(key not in obj for key in keys):
+        raise ValueError(f"{what}: expected an object with keys {', '.join(keys)}")
+    return tuple(obj[key] for key in keys)
+
+
+def _degree(value, what: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what}: n must be a non-negative integer")
+    return value
+
+
+def series_from_obj(obj: dict, n_max: int | None = None) -> SymSeries:
+    """Inverse of ``series_to_obj``; duplicate terms are summed.  Every
+    malformed record raises ValueError naming it."""
+    (records,) = _record(obj, ("terms",), "series record")
+    if n_max is None:
+        (n_max,) = _record(obj, ("n",), "series record")
+    n_max = _degree(n_max, "series record")
+    if not isinstance(records, list):
+        raise ValueError("series record: terms must be a list")
+    terms = {}
+    for rec in records:
+        what = f"term {rec!r}"
+        parts, t, coeff = _record(rec, ("partition", "t", "coeff"), what)
+        parts = _partition(parts, what)
+        if sum(parts) > n_max:
+            raise ValueError(f"{what}: partition sums past {n_max}")
+        key = (parts, check_exponent(t, what))
+        terms[key] = terms.get(key, 0) + _exact(coeff, what)
+    return SymSeries(n_max, terms)
+
+
+def schur_table_from_obj(obj: dict) -> dict[Partition, TPoly]:
+    """Inverse of ``schur_table_to_obj``: one row per partition of n, exact
+    coefficients; zero rows are dropped.  Every malformed record raises
+    ValueError naming it."""
+    n, rows = _record(obj, ("n", "rows"), "table record")
+    n = _degree(n, "table record")
+    if not isinstance(rows, list):
+        raise ValueError("table record: rows must be a list")
+    table = {}
+    for row in rows:
+        what = f"row {row!r}"
+        lam, coeffs = _record(row, ("lambda", "poly"), what)
+        lam = _partition(lam, what)
+        if sum(lam) != n:
+            raise ValueError(f"{what}: lambda must be a partition of {n}")
+        if lam in table:
+            raise ValueError(f"{what}: lambda appears twice")
+        if not isinstance(coeffs, list):
+            raise ValueError(f"{what}: poly must be a list of coefficients")
+        table[lam] = TPoly([_exact(c, what) for c in coeffs])
+    return {lam: poly for lam, poly in table.items() if poly}
 
 
 @_check("serialization round-trip", (None, 6))

@@ -16,14 +16,16 @@ Each command imports the modules it computes with inside its own body; at
 module level this file loads only ``argparse``, ``errno``, ``gc``, ``os``,
 ``sys`` and ``serialize``.  So ``--help`` and ``strata`` compile no solver,
 ``numeric --method lattice`` (or ``stirling`` or ``bell``) no plethysm
-engine, and ``table`` neither ``numeric`` nor ``combinat``; no command that
-builds no Fraction loads ``fractions`` or ``json``.  Names are bound by a
-plain ``from ... import`` at call time, never cached here, so a rebinding of
-``solver.solve_B`` and the like takes effect.
+engine, ``table`` neither ``numeric`` nor ``combinat``, and no command but
+``verify`` compiles ``checks``; no command that builds no Fraction loads
+``fractions`` or ``json``.  Names are bound by a plain ``from ... import``
+at call time, never cached here, so a rebinding of ``solver.solve_B`` and
+the like takes effect.
 
 A process starts at `run`, which turns the cyclic garbage collector off
-(``python -m braidchow`` turns it off before its first import); `main`
-leaves it as it finds it.
+(``python -m braidchow`` turns it off before its first import) and, once
+`main` has returned, ends the process at once; `main` leaves the collector
+as it finds it and returns.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ def _output_error(output: str, reason: str):
 def _check_output(output: str | None):
     """Reject an --output that cannot be written before anything is computed;
     the file is neither created nor truncated here."""
-    if not output:
+    if output is None:
         return
+    if not output:
+        _output_error("''", "empty path")
     parent = os.path.dirname(os.path.abspath(output))
     if os.path.isdir(output):
         err = errno.EISDIR
@@ -88,7 +92,7 @@ def _print(line: str):
 
 
 def _emit(text: str, output: str | None):
-    if output:
+    if output is not None:
         try:
             with open(output, "w") as fh:
                 fh.write(text)
@@ -340,21 +344,38 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args, parser)
 
 
+def _hooked() -> bool:
+    """Whether a trace, profile or monitoring hook is set.  From Python 3.12
+    on, ``cProfile`` registers through ``sys.monitoring`` and leaves
+    ``sys.getprofile()`` at None."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(i) for i in range(6))
+
+
 def run(argv: list[str] | None = None) -> int:
     """The process entry point (``python -m braidchow`` and the ``braidchow``
-    script): `main` with the cyclic garbage collector off.
+    script): `main` with the cyclic garbage collector off, then an immediate
+    end of the process with `main`'s exit code.
 
     A run builds packed ints, tuples and dicts that form almost no reference
-    cycles, so the collector's passes find nothing to free; at exit the heap
-    is frozen, so the interpreter's shutdown collection has nothing to walk.
-    Nothing is lost by skipping them: ``--output`` is closed by ``with``,
-    `_write_stdout` flushes stdout, and braidchow defines no ``__del__``.
-    `main` itself leaves the collector alone, for in-process callers."""
+    cycles, so the collector's passes would find nothing to free.  Once
+    `main` has returned, stdout and stderr are flushed and ``os._exit`` ends
+    the process, skipping the interpreter's teardown: nothing is lost, since
+    ``--output`` is closed by ``with``, every stream is flushed, and
+    braidchow registers no ``atexit`` handler and defines no ``__del__``.
+    A `SystemExit` from `main` (a usage error, a failed write) propagates to
+    a normal exit, and under a trace or profile hook (coverage, ``cProfile``)
+    `run` returns the code, so the hook's own report at exit still runs.  `main`
+    itself leaves the collector alone, for in-process callers."""
     gc.disable()
-    try:
-        return main(argv)
-    finally:
-        gc.freeze()
+    code = main(argv)
+    if not _hooked():
+        _write_stdout("")  # flushes; a failed flush exits 2 like any failed write
+        sys.stderr.flush()
+        os._exit(code)
+    return code
 
 
 if __name__ == "__main__":

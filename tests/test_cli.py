@@ -14,16 +14,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from braidchow import characters, checks, cli, combinat, leveltrees, numeric, solver
+from braidchow import characters, checks, cli, leveltrees, numeric, solver
+from braidchow.checks import series_from_obj
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
-from braidchow.serialize import (
-    schur_table_from_obj,
-    schur_table_latex_row,
-    schur_table_to_obj,
-    series_from_obj,
-    series_to_obj,
-)
+from braidchow.serialize import schur_table_latex_row, series_to_obj
 from braidchow.solver import solve_B
 from braidchow.symseries import PlethysmCache, SymSeries
 from braidchow.tpoly import TPoly
@@ -38,15 +33,6 @@ def run_cli(capsys, *args):
 # -- serialization ----------------------------------------------------------------
 
 
-def test_series_json_roundtrip():
-    B = solve_B(m_series(5))
-    for n in range(2, 6):
-        comp = B.component(n)
-        obj = series_to_obj(n, comp)
-        assert series_from_obj(obj, comp.n_max) == comp
-        assert json.loads(json.dumps(obj)) == obj
-
-
 def test_series_records_are_exact_strings():
     obj = series_to_obj(2, SymSeries.h(2))
     assert obj == {
@@ -58,33 +44,10 @@ def test_series_records_are_exact_strings():
     }
 
 
-def test_schur_table_roundtrip():
-    table = {(4,): TPoly((1, 3, 1)), (3, 1): TPoly((0, 1)), (2, 2): TPoly((0, 1))}
-    obj = schur_table_to_obj(4, table)
-    assert [row["lambda"] for row in obj["rows"]] == [[4], [3, 1], [2, 2]]
-    assert schur_table_from_obj(obj) == table
-
-
 def test_latex_row_formatting():
     table = {(4,): TPoly((1, 3, 1)), (3, 1): TPoly((0, 1)), (2, 2): TPoly((0, 1))}
     row = schur_table_latex_row(4, table)
     assert row == "$4$ & $s_4(1 + 3t + t^2) + s_{31}t + s_{22}t$ \\\\"
-
-
-@pytest.mark.parametrize("partition", [[1, 2], [3], [2, 1], [2, 0], [-1, 3]], ids=str)
-def test_series_from_obj_rejects_bad_partitions(partition):
-    term = {"partition": partition, "t": 0, "coeff": "1"}
-    with pytest.raises(ValueError, match="term") as exc:
-        series_from_obj({"n": 2, "terms": [term]})
-    assert repr(term) in str(exc.value)
-
-
-@pytest.mark.parametrize("t", [1.5, "1", True, -1], ids=repr)
-def test_series_from_obj_rejects_bad_t(t):
-    term = {"partition": [2], "t": t, "coeff": "1"}
-    with pytest.raises(ValueError, match="term") as exc:
-        series_from_obj({"n": 2, "terms": [term]})
-    assert repr(term) in str(exc.value)
 
 
 JSON_VALUES = st.recursive(
@@ -232,8 +195,10 @@ NO_PLETHYSM_ENGINE = {
     "braidchow.characters",
     "braidchow.leveltrees",
 }
+# the registry of checks and the JSON readers beside it, which only verify runs
+VERIFY_ONLY = {"braidchow.checks"}
 # the Schur table needs no numeric route, no Stirling number and no Fraction
-TABLE_NEVER_LOADS = {"braidchow.numeric", "braidchow.combinat"} | NO_FRACTIONS_OR_JSON
+TABLE_NEVER_LOADS = {"braidchow.numeric", "braidchow.combinat"} | NO_FRACTIONS_OR_JSON | VERIFY_ONLY
 
 
 def _python(*args: str, stdout=subprocess.PIPE, text=True) -> subprocess.CompletedProcess:
@@ -361,14 +326,15 @@ def test_the_package_numeric_routes_load_no_plethysm_engine():
                 "braidchow.characters",
                 "braidchow.pointcounts",
             }
-            | NO_FRACTIONS_OR_JSON,
+            | NO_FRACTIONS_OR_JSON
+            | VERIFY_ONLY,
         ),
         *(
-            (f"numeric --max-n 6 --method {method}", NO_PLETHYSM_ENGINE | NO_FRACTIONS_OR_JSON)
+            (f"numeric --max-n 6 --method {method}", NO_PLETHYSM_ENGINE | NO_FRACTIONS_OR_JSON | VERIFY_ONLY)
             for method in ("lattice", "stirling", "bell")
         ),
         *(
-            (f"numeric --max-n 6 --method {method}", NO_FRACTIONS_OR_JSON)
+            (f"numeric --max-n 6 --method {method}", NO_FRACTIONS_OR_JSON | VERIFY_ONLY)
             for method in ("solve", "strata", "all")
         ),
         *(
@@ -376,8 +342,8 @@ def test_the_package_numeric_routes_load_no_plethysm_engine():
             for fmt in ("json", "csv", "latex")
         ),
         # these print or check Fractions
-        ("table --max-n 4 --basis p", {"braidchow.numeric", "braidchow.combinat"}),
-        ("m-series --max-n 4", set()),
+        ("table --max-n 4 --basis p", {"braidchow.numeric", "braidchow.combinat"} | VERIFY_ONLY),
+        ("m-series --max-n 4", VERIFY_ONLY),
         ("verify --max-n 3", set()),
     ],
 )
@@ -399,12 +365,30 @@ def test_a_failed_stdout_write_exits_2_with_one_line(argv):
     assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", ["table --max-n 6", "numeric --max-n 6 --format csv", "verify --max-n 3"])
-def test_the_entry_point_prints_what_main_prints(capsys, argv):
+# the argv lists of the benchmark's workloads, and smaller ones
+ENTRY_POINT_ARGVS = [
+    "table --max-n 12",
+    "strata --n 6",
+    "numeric --max-n 9 --method lattice",
+    "verify --max-n 8",
+    "table --max-n 6",
+    "numeric --max-n 6 --format csv",
+    "verify --max-n 3",
+]
+
+
+@pytest.mark.parametrize("argv", ENTRY_POINT_ARGVS)
+def test_the_entry_point_prints_what_main_prints(capsys, tmp_path, argv):
     proc = _python("-m", "braidchow", *argv.split(), text=False)
     code, out = run_cli(capsys, *argv.split())
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()
+    if argv.startswith("verify"):
+        return  # verify writes no file
+    ran, called = tmp_path / "run.out", tmp_path / "main.out"
+    proc = _python("-m", "braidchow", *argv.split(), "--output", str(ran))
+    assert proc.returncode == cli.main([*argv.split(), "--output", str(called)]) == 0
+    assert proc.stdout == "" and ran.read_bytes() == called.read_bytes()
 
 
 @pytest.mark.parametrize("argv", ["table --max-n 99", "tabel", "strata --n 4 --output {missing}"])
@@ -416,19 +400,119 @@ def test_the_entry_point_exits_2_on_usage_errors(tmp_path, argv):
 
 def test_only_the_entry_point_changes_the_collector():
     # in-process callers (the tests, the tracer, the benchmark's set-up
-    # sample) keep the collector as they had it
+    # sample) keep the collector as they had it; `run` calls `main` with the
+    # collector off and then ends the process with `main`'s code, so nothing
+    # after it runs
     state = "sys.stderr.write(f'{gc.isenabled()} {gc.get_freeze_count()}\\n')\n"
     proc = _python(
         "-c",
         "import gc, sys\nfrom braidchow import cli\n" + state
         + "cli.main(['strata', '--n', '4'])\n" + state
-        + "cli.run(['strata', '--n', '4'])\n" + state,
+        + "main = cli.main\n"
+        + "def spy(argv):\n"
+        + "    main(argv)\n"
+        + "    " + state
+        + "    return 3\n"
+        + "cli.main = spy\n"
+        + "cli.run(['strata', '--n', '4'])\n"
+        + "sys.stderr.write('run returned\\n')\n",
         stdout=subprocess.DEVNULL,
     )
-    after_import, after_main, after_run = proc.stderr.splitlines()
-    assert after_import == after_main == "True 0"
-    enabled, frozen = after_run.split()
-    assert enabled == "False" and int(frozen) > 0
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["True 0", "True 0", "False 0"]
+
+
+def test_the_entry_point_flushes_what_main_left_buffered():
+    # buffered streams, as without PYTHONUNBUFFERED: stdout held in a block
+    # buffer, stderr in a line buffer with no newline written
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\nfrom braidchow import cli\n"
+            "def main(argv):\n"
+            "    sys.stdout.write('out')\n"
+            "    sys.stderr.write('err')\n"
+            "    return 0\n"
+            "cli.main = main\n"
+            "cli.run([])\n",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "out" and proc.stderr == "err"
+
+
+@pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+def test_the_entry_point_returns_under_a_trace_or_profile_hook(hook):
+    # coverage and cProfile report at the interpreter's exit, so under their
+    # hooks `run` returns the code instead of ending the process
+    proc = _python(
+        "-c",
+        f"import sys\nfrom braidchow import cli\nsys.{hook}(lambda *args: None)\n"
+        "code = cli.run(['strata', '--n', '3'])\n"
+        f"sys.{hook}(None)\n"
+        "sys.stderr.write(f'run returned {code}')\n",
+        stdout=subprocess.DEVNULL,
+    )
+    assert proc.returncode == 0 and proc.stderr == "run returned 0"
+
+
+def test_cprofile_still_prints_its_report(capsys):
+    proc = _python("-m", "cProfile", "-m", "braidchow", "strata", "--n", "3")
+    code, out = run_cli(capsys, "strata", "--n", "3")
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout.startswith(out)
+    report = proc.stdout[len(out):]
+    assert "function calls" in report and "Ordered by" in report
+
+
+# one numeric route made wrong: 2 mismatch lines for each n = 2..6
+BROKEN_BELL_ROUTE = (
+    "from braidchow import cli, numeric\n"
+    "bell = numeric.hnum_bell\n"
+    "numeric.hnum_bell = lambda n_max: {n: p * 2 for n, p in bell(n_max).items()}\n"
+)
+
+
+def test_the_entry_point_keeps_output_and_code_of_a_route_mismatch(capsys, monkeypatch):
+    argv = ["numeric", "--max-n", "6", "--method", "all"]
+    proc = _python("-c", BROKEN_BELL_ROUTE + f"cli.run({argv!r})\n")
+    bell = numeric.hnum_bell
+    monkeypatch.setattr(numeric, "hnum_bell", lambda n_max: {n: p * 2 for n, p in bell(n_max).items()})
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert proc.returncode == code == 1
+    assert proc.stdout == captured.out and json.loads(proc.stdout)["methods"][0] == "bell"
+    lines = proc.stderr.splitlines()
+    assert lines == captured.err.splitlines() and len(lines) == 10
+    assert all(line.startswith("route mismatch at n=") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv, computes",
+    [
+        ("table --max-n 3", "braidchow.pointcounts.m_series"),
+        ("numeric --max-n 3 --method stirling", "braidchow.numeric.hnum_stirling"),
+        ("m-series --max-n 3", "braidchow.pointcounts.m_series"),
+        ("strata --n 3", "braidchow.leveltrees.level_tree_census"),
+    ],
+)
+def test_an_empty_output_path_is_a_usage_error(capsys, monkeypatch, argv, computes):
+    def computed(*args):
+        raise AssertionError("computed before the --output check")
+
+    monkeypatch.setattr(computes, computed)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv.split(), "--output", ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "braidchow: error: cannot write --output '': empty path\n"
 
 
 def test_the_console_script_is_what_python_m_runs(monkeypatch):
@@ -631,9 +715,9 @@ def test_verify_small(capsys):
 
 
 def test_verify_names_broken_check(capsys, monkeypatch):
-    original = combinat.stirling_first_signed
+    original = numeric.stirling_first_signed
     monkeypatch.setattr(
-        combinat, "stirling_first_signed", lambda n, k: -original(n, k)
+        numeric, "stirling_first_signed", lambda n, k: -original(n, k)
     )
     code, out = run_cli(capsys, "verify", "--max-n", "4")
     assert code == 1

@@ -6,7 +6,7 @@ import pytest
 
 from braidchow import pointcounts
 from braidchow.characters import schur_expand
-from braidchow.combinat import omega_shifted
+from braidchow.numeric import omega_shifted
 from braidchow.partitions import multiplicities, partitions_of, z_lambda
 from braidchow.pointcounts import (
     _check_component,

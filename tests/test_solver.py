@@ -10,8 +10,8 @@ import pytest
 
 from braidchow import cli, numeric, solver, symseries
 from braidchow.characters import schur_expand
-from braidchow.combinat import omega_shifted, set_partition_sizes, set_partitions
-from braidchow.numeric import euler_chars, hnum_bell, hnum_lattice, hnum_stirling
+from braidchow.combinat import set_partition_sizes, set_partitions
+from braidchow.numeric import euler_chars, hnum_bell, hnum_lattice, hnum_stirling, omega_shifted
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
 from braidchow.serialize import series_to_obj
