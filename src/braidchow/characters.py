@@ -123,8 +123,10 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
     in the order of `partitions_of(n)`.  Each term c t^k p_mu becomes entry k
     of an integer row over f's common denominator, packed into one int and
     held at the node mu as the Schur vector {(): row}.  A vector is keyed by
-    bead masks with n beads, enough for any partition of at most n, so ()
-    is the mask of n beads at 0..n-1.  For j = n down to 1, every node nu of
+    bead masks with K = f.n_max beads, enough for any partition of at most
+    n <= f.n_max, so () is the mask of K beads at 0..K-1; with one bead
+    count for every degree of a series, the sweeps of all its degrees share
+    `_add_strips` entries.  For j = n down to 1, every node nu of
     size j multiplies its vector by p_r, r = nu[-1], through `_add_strips`,
     and adds the result into the node nu[:-1]; the root () then holds
     p_mu = sum_lam chi^lam(mu) s_lam summed over f, and its masks are
@@ -148,9 +150,10 @@ def schur_expand(f: SymSeries, n: int) -> dict[Partition, TPoly]:
     l1 = sum(abs(v) for row in rows.values() for v in row.values())
     width = (isqrt(factorial(n)) * l1).bit_length() + 1
     # nodes[j]: partition nu of size j -> its Schur vector {bead mask: packed
-    # t-row}; every partition met has at most n rows, so n beads serve all
+    # t-row}; every partition met has at most n <= f.n_max rows (`_known`
+    # raised past n_max), so f.n_max beads serve all
     nodes: list[dict[Partition, dict[int, int]]] = [{} for _ in range(n + 1)]
-    empty = (1 << n) - 1  # n beads at 0..n-1
+    empty = (1 << f.n_max) - 1  # f.n_max beads at 0..f.n_max-1
     for mu, row in rows.items():
         nodes[n][mu] = {empty: _pack(row, width)}
     for j in range(n, 0, -1):

@@ -90,9 +90,7 @@ def check_stirling_inversion(n_max: int):
 def check_bell_limit(n_max: int):
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            args = [numeric.omega_shifted(i) for i in range(1, n - k + 2)]
-            poly = numeric.bell_partial(n, k, args)
-            value = poly.divexact(T_MINUS_ONE).eval(1)
+            value = numeric.bell_omega(n, k).divexact(T_MINUS_ONE).eval(1)
             expected = Fraction(
                 factorial(n) * (-1) ** (n - k - 1) * factorial(n - k - 1),
                 factorial(k - 1) * factorial(n - k + 1),
@@ -242,12 +240,18 @@ def check_structural(n_max: int, schur_max: int):
                 raise CheckFailed(
                     f"Schur coefficient of {lam} at n={n} is not a nonnegative integer polynomial"
                 )
+        # sum_lam c_lam(t) chi^lam(mu) as one list of ints: every c_lam has
+        # int coefficients by now, so the sum is integral and only its signs
+        # are left to check
         chars = character_table(n)
+        width = max((len(poly.coeffs) for poly in table.values()), default=0)
         for mu in partitions_of(n):
-            value = TPoly()
+            value = [0] * width
             for lam, poly in table.items():
-                value = value + poly * chars[lam, mu]
-            if not (value.has_integer_coeffs() and all(c >= 0 for c in value.coeffs)):
+                chi = chars[lam, mu]
+                for i, c in enumerate(poly.coeffs):
+                    value[i] += chi * c
+            if any(c < 0 for c in value):
                 raise CheckFailed(f"character value at mu={mu}, n={n} is not nonnegative integral")
 
 

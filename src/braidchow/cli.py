@@ -75,16 +75,34 @@ def _check_output(output: str | None):
     _output_error(output, os.strerror(err))
 
 
+def _stdout_error(reason: str):
+    sys.stderr.write(f"braidchow: error: cannot write stdout: {reason}\n")
+    raise SystemExit(2)
+
+
 def _write_stdout(text: str):
     """The one place stdout is written.  A failed write (a full disk, a
     closed pipe) is an error of the environment, not a failed verification:
-    exit 2 with one line on stderr."""
+    exit 2 with one line on stderr.  A stdout closed before the interpreter
+    started (``>&-``) is None; writing text there is such a failed write,
+    and writing nothing is not."""
+    out = sys.stdout
+    if out is None:
+        if text:
+            _stdout_error(os.strerror(errno.EBADF))
+        return
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        out.write(text)
+        out.flush()
     except OSError as exc:
-        sys.stderr.write(f"braidchow: error: cannot write stdout: {exc.strerror or exc}\n")
-        raise SystemExit(2)
+        if out is sys.__stdout__:
+            # the interpreter flushes its stdout again at exit, where what
+            # the failed write left in the buffer would fail once more (exit
+            # code 120 and a second message): send it to the null device
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        _stdout_error(exc.strerror or exc)
 
 
 def _print(line: str):

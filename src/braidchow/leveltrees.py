@@ -85,13 +85,14 @@ def _walk(n: int, smaller: dict):
 
 class LevelTree:
     """Canonical immutable level tree; validated on construction.  Equality,
-    hashing and repr go by the root node alone."""
+    hashing and repr go by the root node alone; ``length``, the number of
+    levels, is stored by the validating walk, which already counts them."""
 
-    __slots__ = ("root",)
+    __slots__ = ("root", "length")
 
     def __init__(self, root: Node):
         object.__setattr__(self, "root", root)
-        self.validate()
+        object.__setattr__(self, "length", self.validate())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -124,11 +125,6 @@ class LevelTree:
     def n(self) -> int:
         return sum(len(marks) for _l, marks, _c in self.vertices()) - 1
 
-    @property
-    def length(self) -> int:
-        """Number of levels."""
-        return 1 + max(level for level, _m, _c in self.vertices())
-
     def degrees(self) -> list[int]:
         """val(v) + #markings(v) for every vertex."""
         out = []
@@ -146,9 +142,10 @@ class LevelTree:
         return sizes
 
     def validate(self):
-        """Check the rules of a level tree in one walk.  The walk only
-        collects; the rules are then tested in a fixed order, so a tree that
-        breaks several gets the message of the first."""
+        """Check the rules of a level tree in one walk and return its number
+        of levels.  The walk only collects; the rules are then tested in a
+        fixed order, so a tree that breaks several gets the message of the
+        first."""
         root = self.root
         levels: dict[int, int] = {}
         unstable = not_increasing = False
@@ -176,6 +173,7 @@ class LevelTree:
             raise ValueError("unstable vertex (degree < 3)")
         if not_increasing:
             raise ValueError("levels must strictly increase away from the root")
+        return len(levels)
 
     # -- pruning -------------------------------------------------------------
 

@@ -9,7 +9,11 @@ here too.  They need only ``combinat`` (the set-partition walk),
 ``partitions`` and ``tpoly``, so a ``numeric`` command that asks for none
 of the solver's routes compiles no plethysm engine.  The routes look the
 family up in this module's namespace at each call, so rebinding
-``numeric.stirling_first_signed`` and the like reaches them.
+``numeric.stirling_first_signed`` and the like reaches them.  The one
+exception is the Bell table: ``bell_omega`` is cached per (n, k), so
+rebinding ``bell_partial`` or ``omega_shifted`` after its first call at
+some (n, k) does not reach that entry, just as ``omega_shifted``'s own
+cache keeps the values it built before ``omega`` was rebound.
 """
 
 from __future__ import annotations
@@ -96,12 +100,19 @@ def bell_partial(n: int, k: int, xs) -> TPoly:
     return total
 
 
+@lru_cache(maxsize=None)
+def bell_omega(n: int, k: int) -> TPoly:
+    """Bell_{n,k}(omega_1(t-1), ..., omega_{n-k+1}(t-1)), built once per (n, k):
+    the Stirling-Bell identity, the Bell route and the t -> 1 limit check
+    all read this one table."""
+    return bell_partial(n, k, [omega_shifted(i) for i in range(1, n - k + 2)])
+
+
 def stirling_bell_identity_check(n: int, k: int) -> bool:
     """t^k * Bell_{n,k}(omega_1(t-1), ..., omega_{n-k+1}(t-1)) == sum_j s(n,j) S(j,k) t^j."""
     if not 1 <= k <= n:
         raise ValueError(f"indices out of range: ({n}, {k})")
-    lhs = bell_partial(n, k, [omega_shifted(i) for i in range(1, n - k + 2)])
-    lhs = TPoly([0] * k + list(lhs.coeffs))
+    lhs = TPoly([0] * k + list(bell_omega(n, k).coeffs))
     rhs_coeffs = [0] * (n + 1)
     for j in range(k, n + 1):
         rhs_coeffs[j] = stirling_first_signed(n, j) * stirling_second(j, k)
@@ -131,8 +142,7 @@ def hnum_bell(n_max: int) -> dict[int, TPoly]:
     for n in range(2, n_max + 1):
         rhs = TPoly()
         for k in range(1, n):
-            args = [omega_shifted(i) for i in range(1, n - k + 2)]
-            rhs = rhs + hnum[k] * bell_partial(n, k, args)
+            rhs = rhs + hnum[k] * bell_omega(n, k)
         hnum[n] = rhs.divexact(T_MINUS_ONE)
     return hnum
 

@@ -72,6 +72,25 @@ def test_check_raises_check_failed_with_the_failing_case(monkeypatch):
         dict(checks.CHECKS)["stirling triangle inversion"](4)
 
 
+def test_a_negative_character_value_fails_the_structural_check(monkeypatch):
+    # chi^(3)(1^3) made -100: the trivial row's coefficient 1 + t turns the
+    # character sum at mu = (1, 1, 1) negative
+    original = checks.character_table
+
+    def broken(n):
+        chars = dict(original(n))
+        if n == 3:
+            chars[(3,), (1, 1, 1)] = -100
+        return chars
+
+    monkeypatch.setattr(checks, "character_table", broken)
+    with pytest.raises(
+        checks.CheckFailed,
+        match=r"^character value at mu=\(1, 1, 1\), n=3 is not nonnegative integral$",
+    ):
+        dict(checks.CHECKS)["structural properties"](4, 4)
+
+
 def test_run_all_reports_each_check_failed_message(monkeypatch):
     def broken(n_max):
         raise checks.CheckFailed(f"broken at {n_max}")

@@ -201,16 +201,22 @@ VERIFY_ONLY = {"braidchow.checks"}
 TABLE_NEVER_LOADS = {"braidchow.numeric", "braidchow.combinat"} | NO_FRACTIONS_OR_JSON | VERIFY_ONLY
 
 
-def _python(*args: str, stdout=subprocess.PIPE, text=True) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on ``args``, importing braidchow from src."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+def _python(
+    *args: str, stdout=subprocess.PIPE, text=True, preexec_fn=None
+) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args``, importing braidchow from src.
+    The child's streams are buffered as a user's are: PYTHONUNBUFFERED is
+    not passed on, so output left in a buffer is lost there too."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=env,
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=text,
         timeout=60,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -365,6 +371,32 @@ def test_a_failed_stdout_write_exits_2_with_one_line(argv):
     assert proc.stderr.count("\n") == 1
 
 
+def _closed_stdout():
+    os.close(1)  # runs in the child: the interpreter starts with no fd 1
+
+
+@pytest.mark.parametrize("argv", ["strata --n 3", "verify --max-n 3"])
+def test_a_closed_stdout_exits_2_with_one_line(argv):
+    # with fd 1 closed (``>&-``) sys.stdout is None; writing to it is a
+    # failed write like any other
+    proc = _python(
+        "-m", "braidchow", *argv.split(), stdout=subprocess.DEVNULL, preexec_fn=_closed_stdout
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "braidchow: error: cannot write stdout: Bad file descriptor\n"
+
+
+def test_a_closed_stdout_is_no_error_when_nothing_goes_there(tmp_path):
+    out = tmp_path / "table.json"
+    proc = _python(
+        "-m", "braidchow", "table", "--max-n", "3", "--output", str(out),
+        stdout=subprocess.DEVNULL,
+        preexec_fn=_closed_stdout,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(out.read_text())[0]["n"] == 2
+
+
 # the argv lists of the benchmark's workloads, and smaller ones
 ENTRY_POINT_ARGVS = [
     "table --max-n 12",
@@ -423,26 +455,17 @@ def test_only_the_entry_point_changes_the_collector():
 
 
 def test_the_entry_point_flushes_what_main_left_buffered():
-    # buffered streams, as without PYTHONUNBUFFERED: stdout held in a block
-    # buffer, stderr in a line buffer with no newline written
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys\nfrom braidchow import cli\n"
-            "def main(argv):\n"
-            "    sys.stdout.write('out')\n"
-            "    sys.stderr.write('err')\n"
-            "    return 0\n"
-            "cli.main = main\n"
-            "cli.run([])\n",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
+    # buffered streams: stdout held in a block buffer, stderr in a line
+    # buffer with no newline written
+    proc = _python(
+        "-c",
+        "import sys\nfrom braidchow import cli\n"
+        "def main(argv):\n"
+        "    sys.stdout.write('out')\n"
+        "    sys.stderr.write('err')\n"
+        "    return 0\n"
+        "cli.main = main\n"
+        "cli.run([])\n",
     )
     assert proc.returncode == 0 and proc.stdout == "out" and proc.stderr == "err"
 
@@ -836,6 +859,11 @@ PINNED_STDOUT_SHA256 = {
         "f3d17ba0ee5c085e140653ebf49d59dca4363c08bffc4943426a1cc41289a122",
     "table --max-n 12 --format latex":
         "ccbe90e2fb47cf39232784b598bd8ac28d632e12e0e4dfa17ff44ad080bd5acb",
+    # the benchmark's other outputs, with the digests it pins
+    "verify --max-n 8": "b3bc4647c6e7a8dfbfe73c6268234828c80f3f51acb2405a3cada6545031396f",
+    "strata --n 6": "3b69ed4885ee67e3a0de8862b93803354afb9c7e66537319711965960ddd2159",
+    "numeric --max-n 9 --method lattice":
+        "ea531c02e551eb60abdd17f74c54b58845977a69d066e6523450d96cb25102eb",
 }
 
 

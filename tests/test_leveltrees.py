@@ -220,6 +220,16 @@ def test_prune_drops_one_level():
         assert list(assignment) == sorted(assignment)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_stored_length_counts_the_levels(n):
+    # the validating walk stores the number of levels; recount it from the
+    # vertices, for every tree and for every pruned tree
+    for t in enumerate_level_trees(n):
+        trees = [t] if t.length == 1 else [t, t.prune()[0]]
+        for tree in trees:
+            assert tree.length == 1 + max(level for level, _m, _c in tree.vertices())
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_prune_unprune_roundtrip(n):
     for t in enumerate_level_trees(n):

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from braidchow import checks, numeric
 from braidchow.combinat import set_partitions
 from braidchow.numeric import (
     bell_partial,
@@ -166,3 +167,23 @@ def test_bell_limit_formula():
                 factorial(k - 1) * factorial(n - k + 1),
             )
             assert value == expected
+
+
+def test_verify_builds_each_bell_polynomial_once(monkeypatch):
+    # the Stirling-Bell identity, the Bell route and the t -> 1 limit check
+    # all read the one cached table
+    built = []
+    original = numeric.bell_partial
+
+    def counting(n, k, xs):
+        built.append((n, k))
+        return original(n, k, xs)
+
+    monkeypatch.setattr(numeric, "bell_partial", counting)
+    numeric.bell_omega.cache_clear()
+    try:
+        results = checks.run_all(8, report=lambda line: None)
+    finally:
+        numeric.bell_omega.cache_clear()  # drop what the counting wrapper built
+    assert all(message is None for _name, message in results)
+    assert sorted(built) == [(n, k) for n in range(1, 9) for k in range(1, n + 1)]
