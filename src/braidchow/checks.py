@@ -11,14 +11,14 @@ reports one status line per check and stops nothing, so a single run shows
 everything that is broken.  Checks run in the order they are defined; order
 matters only cosmetically: the cheapest, most diagnostic checks come first.
 
-The JSON readers ``series_from_obj`` and ``schur_table_from_obj``, the
-inverses of the ``serialize`` writers, live here beside the "serialization
-round-trip" check, their one caller, so that no other command compiles them.
+No command reads JSON, so there is no JSON reader: the "serialization
+round-trip" check reads the ``serialize`` writers' records back through the
+``SymSeries`` and ``TPoly`` constructors, and each coefficient with
+``Fraction``, which must give back the very string that was written.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import factorial
 from typing import Callable
@@ -33,13 +33,13 @@ from .leveltrees import (
     unprune,
 )
 from .numeric import euler_chars, hnum_bell, hnum_lattice, hnum_stirling
-from .partitions import Partition, is_partition, partitions_of
+from .partitions import partitions_of
 from .pointcounts import m_series, twisted_count
 from .reference import REFERENCE_TABLE
 from .serialize import schur_table_to_obj, series_to_obj
 from .solver import hnum_from_solver, level_filtration, solved_series, verify_functional_equation
 from .symseries import SymSeries, plethysm
-from .tpoly import TPoly, T_MINUS_ONE, check_exponent
+from .tpoly import TPoly, T_MINUS_ONE
 
 
 class CheckFailed(Exception):
@@ -300,99 +300,40 @@ def check_pruning_roundtrip(n_max: int):
                 raise CheckFailed("pruning round-trip failed")
 
 
-# -- the JSON readers, inverse of the ``serialize`` writers ------------------
-
-
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _exact(value, what: str) -> Fraction:
-    """An exact coefficient: an int (not a bool) or a rational string such as
-    "3" or "-1/2".  Floats, decimal strings and anything else raise ValueError
-    naming ``what``."""
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        num, _, den = value.partition("/")
-        if den and int(den) == 0:
-            raise ValueError(f"{what}: zero denominator")
-        return Fraction(int(num), int(den or 1))
-    raise ValueError(f"{what}: coefficient must be an int or an exact rational string")
-
-
-def _partition(value, what: str) -> Partition:
-    """A list of weakly decreasing positive ints (not bools) as a partition."""
-    if isinstance(value, list) and is_partition(tuple(value)):
-        return tuple(value)
-    raise ValueError(f"{what}: partition must be a list of weakly decreasing positive ints")
-
-
-def _record(obj, keys: tuple[str, ...], what: str) -> tuple:
-    """The values of ``keys`` in the JSON object ``obj``; ValueError if it is
-    not a dict or lacks one of them."""
-    if not isinstance(obj, dict) or any(key not in obj for key in keys):
-        raise ValueError(f"{what}: expected an object with keys {', '.join(keys)}")
-    return tuple(obj[key] for key in keys)
-
-
-def _degree(value, what: str) -> int:
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{what}: n must be a non-negative integer")
+def _coefficient(text: str) -> Fraction:
+    """A coefficient as the ``serialize`` writers emit it: the string of its
+    reduced rational ("3", "-1/2").  Anything else ("0.5", "2/4", the int 3)
+    raises ValueError."""
+    value = Fraction(text)
+    if str(value) != text:
+        raise ValueError(f"coefficient {text!r} is not a reduced rational string")
     return value
-
-
-def series_from_obj(obj: dict, n_max: int | None = None) -> SymSeries:
-    """Inverse of ``series_to_obj``; duplicate terms are summed.  Every
-    malformed record raises ValueError naming it."""
-    (records,) = _record(obj, ("terms",), "series record")
-    if n_max is None:
-        (n_max,) = _record(obj, ("n",), "series record")
-    n_max = _degree(n_max, "series record")
-    if not isinstance(records, list):
-        raise ValueError("series record: terms must be a list")
-    terms = {}
-    for rec in records:
-        what = f"term {rec!r}"
-        parts, t, coeff = _record(rec, ("partition", "t", "coeff"), what)
-        parts = _partition(parts, what)
-        if sum(parts) > n_max:
-            raise ValueError(f"{what}: partition sums past {n_max}")
-        key = (parts, check_exponent(t, what))
-        terms[key] = terms.get(key, 0) + _exact(coeff, what)
-    return SymSeries(n_max, terms)
-
-
-def schur_table_from_obj(obj: dict) -> dict[Partition, TPoly]:
-    """Inverse of ``schur_table_to_obj``: one row per partition of n, exact
-    coefficients; zero rows are dropped.  Every malformed record raises
-    ValueError naming it."""
-    n, rows = _record(obj, ("n", "rows"), "table record")
-    n = _degree(n, "table record")
-    if not isinstance(rows, list):
-        raise ValueError("table record: rows must be a list")
-    table = {}
-    for row in rows:
-        what = f"row {row!r}"
-        lam, coeffs = _record(row, ("lambda", "poly"), what)
-        lam = _partition(lam, what)
-        if sum(lam) != n:
-            raise ValueError(f"{what}: lambda must be a partition of {n}")
-        if lam in table:
-            raise ValueError(f"{what}: lambda appears twice")
-        if not isinstance(coeffs, list):
-            raise ValueError(f"{what}: poly must be a list of coefficients")
-        table[lam] = TPoly([_exact(c, what) for c in coeffs])
-    return {lam: poly for lam, poly in table.items() if poly}
 
 
 @_check("serialization round-trip", (None, 6))
 def check_serialization_roundtrip(n_max: int):
+    """Read each component and Schur table of B back from the records the
+    writers emit, through the ``SymSeries`` and ``TPoly`` constructors,
+    which validate every partition, exponent and coefficient.  A record's n
+    and each of its terms must have the record's degree (the constructor
+    would drop a term past n_max), and a term or row written twice fails."""
     B = solved_series(n_max)
     for n, comp in B.components.items():
-        if series_from_obj(series_to_obj(n, comp), comp.n_max) != comp:
+        obj = series_to_obj(n, comp)
+        records = obj["terms"]
+        terms = {(tuple(r["partition"]), r["t"]): _coefficient(r["coeff"]) for r in records}
+        if (
+            obj["n"] != n
+            or len(terms) != len(records)
+            or SymSeries(comp.n_max, terms) != comp
+            or any(sum(parts) != n for parts, _t in terms)
+        ):
             raise CheckFailed(f"series component {n} does not survive a JSON round-trip")
         table = schur_expand(comp, n)
-        if schur_table_from_obj(schur_table_to_obj(n, table)) != table:
+        obj = schur_table_to_obj(n, table)
+        records = obj["rows"]
+        rows = {tuple(r["lambda"]): TPoly(map(_coefficient, r["poly"])) for r in records}
+        if obj["n"] != n or len(rows) != len(records) or rows != table:
             raise CheckFailed(f"Schur table {n} does not survive a JSON round-trip")
 
 

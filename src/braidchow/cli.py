@@ -333,33 +333,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="equivariant Chow polynomials")
     common(p_table, formats=("json", "csv", "latex"))  # only tables have a LaTeX writer
     p_table.add_argument("--basis", choices=("schur", "p"), default="schur")
-    p_table.set_defaults(func=cmd_table)
+    p_table.set_defaults(func=cmd_table, parser=p_table)
 
     p_num = sub.add_parser("numeric", help="rank polynomials and Euler characteristics")
     common(p_num, method=True)
-    p_num.set_defaults(func=cmd_numeric)
+    p_num.set_defaults(func=cmd_numeric, parser=p_num)
 
     p_m = sub.add_parser("m-series", help="the open-curves input series")
     common(p_m)
-    p_m.set_defaults(func=cmd_m_series)
+    p_m.set_defaults(func=cmd_m_series, parser=p_m)
 
     p_strata = sub.add_parser("strata", help="level-tree census and stratum sums")
     p_strata.add_argument("--n", type=int, required=True)
     p_strata.add_argument("--count-only", action="store_true")
     p_strata.add_argument("--output", default=None)
-    p_strata.set_defaults(func=cmd_strata)
+    p_strata.set_defaults(func=cmd_strata, parser=p_strata)
 
     p_verify = sub.add_parser("verify", help="run the self-verification suite")
     p_verify.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, parser=p_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    args = build_parser().parse_args(argv)
+    # each command gets its own subparser, so its usage errors print its usage line
+    return args.func(args, args.parser)
 
 
 def _hooked() -> bool:

@@ -84,21 +84,15 @@ def _walk(n: int, smaller: dict):
 
 
 class LevelTree:
-    """Canonical immutable level tree; validated on construction.  Equality,
-    hashing and repr go by the root node alone; ``length``, the number of
-    levels, is stored by the validating walk, which already counts them."""
+    """Canonical level tree; validated on construction.  Equality and
+    hashing go by the root node alone; ``length``, the number of levels, is
+    stored by the validating walk, which already counts them."""
 
     __slots__ = ("root", "length")
 
     def __init__(self, root: Node):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "length", self.validate())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self.root = root
+        self.length = self.validate()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -107,9 +101,6 @@ class LevelTree:
 
     def __hash__(self):
         return hash((self.root,))
-
-    def __repr__(self):
-        return f"LevelTree(root={self.root!r})"
 
     # -- structure ----------------------------------------------------------
 
@@ -120,10 +111,6 @@ class LevelTree:
             level, marks, children = stack.pop()
             yield level, marks, len(children)
             stack.extend(children)
-
-    @property
-    def n(self) -> int:
-        return sum(len(marks) for _l, marks, _c in self.vertices()) - 1
 
     def degrees(self) -> list[int]:
         """val(v) + #markings(v) for every vertex."""

@@ -5,10 +5,9 @@ through floating point.  Terms and rows follow the canonical order
 (partition degree, then reverse-lexicographic partition, then t-exponent),
 so output is byte-deterministic for a fixed input.
 
-This module holds only the writers, which every command runs.  The readers
-that invert the JSON records, ``series_from_obj`` and
-``schur_table_from_obj``, live in ``checks`` beside the "serialization
-round-trip" check, their one caller.
+This module holds only writers: no command reads JSON.  The "serialization
+round-trip" check in ``checks`` reads the JSON records back through the
+``SymSeries`` and ``TPoly`` constructors.
 """
 
 from __future__ import annotations

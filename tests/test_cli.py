@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 
 from braidchow import characters, checks, cli, leveltrees, numeric, solver
-from braidchow.checks import series_from_obj
 from braidchow.pointcounts import m_series
 from braidchow.reference import REFERENCE_TABLE
 from braidchow.serialize import schur_table_latex_row, series_to_obj
@@ -671,6 +670,15 @@ def test_numeric_usage_errors():
     assert exc.value.code == 2
 
 
+def test_a_semantic_usage_error_prints_the_usage_of_its_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--max-n", "13"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: braidchow table ")
+    assert err.endswith("error: --max-n must be between 2 and 12, got 13\n")
+
+
 @pytest.mark.parametrize("command", ["numeric", "m-series"])
 def test_latex_is_offered_only_for_tables(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -691,8 +699,9 @@ def test_m_series_roundtrip(capsys):
     payload = json.loads(out)
     M = m_series(4)
     for entry in payload:
-        n = entry["n"]
-        assert series_from_obj(entry, 4) == M.component(n)
+        terms = {(tuple(t["partition"]), t["t"]): Fraction(t["coeff"]) for t in entry["terms"]}
+        assert len(terms) == len(entry["terms"])
+        assert SymSeries(4, terms) == M.component(entry["n"])
 
 
 # -- strata command --------------------------------------------------------------------
