@@ -315,15 +315,18 @@ def check_serialization_roundtrip(n_max: int):
     """Read each component and Schur table of B back from the records the
     writers emit, through the ``SymSeries`` and ``TPoly`` constructors,
     which validate every partition, exponent and coefficient.  A record's n
-    and each of its terms must have the record's degree (the constructor
-    would drop a term past n_max), and a term or row written twice fails."""
+    must be the int n and each of its terms must have degree n (the
+    constructor would drop a term past n_max); a term or row written twice
+    fails, and so does a poly that is not a list (a string of one-digit
+    coefficients would read back the same)."""
     B = solved_series(n_max)
     for n, comp in B.components.items():
         obj = series_to_obj(n, comp)
         records = obj["terms"]
         terms = {(tuple(r["partition"]), r["t"]): _coefficient(r["coeff"]) for r in records}
         if (
-            obj["n"] != n
+            type(obj["n"]) is not int
+            or obj["n"] != n
             or len(terms) != len(records)
             or SymSeries(comp.n_max, terms) != comp
             or any(sum(parts) != n for parts, _t in terms)
@@ -333,7 +336,13 @@ def check_serialization_roundtrip(n_max: int):
         obj = schur_table_to_obj(n, table)
         records = obj["rows"]
         rows = {tuple(r["lambda"]): TPoly(map(_coefficient, r["poly"])) for r in records}
-        if obj["n"] != n or len(rows) != len(records) or rows != table:
+        if (
+            type(obj["n"]) is not int
+            or obj["n"] != n
+            or len(rows) != len(records)
+            or rows != table
+            or any(type(r["poly"]) is not list for r in records)
+        ):
             raise CheckFailed(f"Schur table {n} does not survive a JSON round-trip")
 
 

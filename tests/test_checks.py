@@ -2,18 +2,22 @@
 so a broken program fails ``verify`` also under ``python -O``.  The
 serialization round-trip check fails on every record its writers could get
 wrong: a term or row dropped or written twice, a coefficient not written as
-its reduced rational, a wrong n."""
+its reduced rational, a wrong n, a field missing or of the wrong JSON type."""
 
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from braidchow import checks, numeric, symseries
-from braidchow.serialize import schur_table_to_obj
+from braidchow.pointcounts import m_series
+from braidchow.serialize import schur_table_to_obj, series_to_obj
+from braidchow.solver import solve_B
+from braidchow.symseries import SymSeries
 from braidchow.tpoly import TPoly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -110,6 +114,17 @@ def test_series_checks_build_no_fraction_term_view(monkeypatch):
 # -- the serialization round-trip --------------------------------------------------
 
 
+def test_series_json_roundtrip():
+    B = solve_B(m_series(5))
+    for n in range(2, 6):
+        comp = B.component(n)
+        obj = series_to_obj(n, comp)
+        assert json.loads(json.dumps(obj)) == obj
+        terms = {(tuple(r["partition"]), r["t"]): Fraction(r["coeff"]) for r in obj["terms"]}
+        assert len(terms) == len(obj["terms"])
+        assert SymSeries(comp.n_max, terms) == comp
+
+
 def test_schur_table_records_follow_the_row_order():
     table = {(2, 2): TPoly((0, 1)), (3, 1): TPoly((0, 1)), (4,): TPoly((1, 3, 1))}
     assert schur_table_to_obj(4, table) == {
@@ -134,12 +149,53 @@ def recode(old, new):
     return mangle
 
 
+def first_term(**fields):
+    """Set ``fields`` of the first term of a series record."""
+    return lambda obj: obj["terms"][0].update(fields)
+
+
+def first_row(fields):
+    """Set ``fields`` of the first row of a Schur table record."""
+    return lambda obj: obj["rows"][0].update(fields)
+
+
 MANGLINGS = {
     "drop a term": ("series_to_obj", lambda obj: obj["terms"].pop()),
     "duplicate a term": ("series_to_obj", lambda obj: obj["terms"].append(obj["terms"][0])),
     "decimal coefficient": ("series_to_obj", recode("1/2", "0.5")),
     "unreduced coefficient": ("series_to_obj", recode("1/2", "2/4")),
     "wrong series n": ("series_to_obj", lambda obj: obj.update(n=obj["n"] + 1)),
+    "series n as a float": ("series_to_obj", lambda obj: obj.update(n=float(obj["n"]))),
+    "series n as a string": ("series_to_obj", lambda obj: obj.update(n=str(obj["n"]))),
+    "no series n": ("series_to_obj", lambda obj: obj.pop("n")),
+    "no terms key": ("series_to_obj", lambda obj: obj.pop("terms")),
+    "terms not a list": ("series_to_obj", lambda obj: obj.update(terms=obj["terms"][0])),
+    "empty terms": ("series_to_obj", lambda obj: obj["terms"].clear()),
+    "term not an object": ("series_to_obj", lambda obj: obj["terms"].insert(0, "term")),
+    "parts out of order": (
+        "series_to_obj",
+        lambda obj: [r["partition"].reverse() for r in obj["terms"]],
+    ),
+    "zero part": ("series_to_obj", first_term(partition=[2, 0])),
+    "negative part": ("series_to_obj", first_term(partition=[-1, 3])),
+    "bool parts": ("series_to_obj", first_term(partition=[True, True])),
+    "partition not a list": ("series_to_obj", first_term(partition=2)),
+    "partition of another degree": ("series_to_obj", first_term(partition=[1])),
+    "t as a float": ("series_to_obj", first_term(t=0.0)),
+    "t as a string": ("series_to_obj", first_term(t="0")),
+    "t as a bool": ("series_to_obj", first_term(t=False)),
+    "negative t": ("series_to_obj", first_term(t=-1)),
+    "shifted t": ("series_to_obj", lambda obj: [r.update(t=r["t"] + 1) for r in obj["terms"]]),
+    "float coefficient": ("series_to_obj", recode("1/2", 0.5)),
+    "exponent coefficient": ("series_to_obj", recode("1/2", "5e-1")),
+    "signed coefficient": ("series_to_obj", recode("1/2", "+1/2")),
+    "padded coefficient": ("series_to_obj", recode("1/2", " 1/2")),
+    "bool coefficient": ("series_to_obj", first_term(coeff=True)),
+    "null coefficient": ("series_to_obj", first_term(coeff=None)),
+    "zero denominator": ("series_to_obj", first_term(coeff="1/0")),
+    "zero coefficient": ("series_to_obj", first_term(coeff="0")),
+    "negated coefficient": ("series_to_obj", recode("1/2", "-1/2")),
+    "no coefficient": ("series_to_obj", lambda obj: obj["terms"][0].pop("coeff")),
     # the SymSeries constructor drops a term past n_max, so the check counts degrees
     "term past n_max": (
         "series_to_obj",
@@ -150,6 +206,24 @@ MANGLINGS = {
     "decimal table coefficient": ("schur_table_to_obj", recode("1", "1.0")),
     "unreduced table coefficient": ("schur_table_to_obj", recode("1", "2/2")),
     "wrong table n": ("schur_table_to_obj", lambda obj: obj.update(n=obj["n"] + 1)),
+    "table n as a float": ("schur_table_to_obj", lambda obj: obj.update(n=float(obj["n"]))),
+    "no rows key": ("schur_table_to_obj", lambda obj: obj.pop("rows")),
+    "null rows": ("schur_table_to_obj", lambda obj: obj.update(rows=None)),
+    "lambda out of order": (
+        "schur_table_to_obj",
+        lambda obj: [r["lambda"].reverse() for r in obj["rows"]],
+    ),
+    "lambda of another size": ("schur_table_to_obj", first_row({"lambda": [5]})),
+    "int table coefficient": ("schur_table_to_obj", recode("1", 1)),
+    "zero table denominator": ("schur_table_to_obj", recode("1", "1/0")),
+    # a string of one-digit coefficients reads back as the same polynomial
+    "poly not a list": (
+        "schur_table_to_obj",
+        lambda obj: [
+            r.update(poly="".join(r["poly"])) for r in obj["rows"] if all(len(c) == 1 for c in r["poly"])
+        ],
+    ),
+    "no poly": ("schur_table_to_obj", lambda obj: obj["rows"][0].pop("poly")),
 }
 
 
