@@ -13,8 +13,11 @@ fails, 2 on usage errors and on output that cannot be written.  All numbers
 are emitted as exact strings.
 
 Each command imports the modules it computes with inside its own body; at
-module level this file loads only ``argparse``, ``errno``, ``gc``, ``os``,
-``sys`` and ``serialize``.  So ``--help`` and ``strata`` compile no solver,
+module level this file loads only ``errno``, ``gc``, ``os``, ``sys`` and
+``serialize``.  The command line is read from `COMMANDS`, a table of each
+command's options, by `_Parser`, which accepts what argparse accepted and
+prints its messages, without loading ``argparse`` and, through it,
+``gettext`` and ``locale``.  So ``--help`` and ``strata`` compile no solver,
 ``numeric --method lattice`` (or ``stirling`` or ``bell``) no plethysm
 engine, ``table`` neither ``numeric`` nor ``combinat``, and no command but
 ``verify`` compiles ``checks``; no command that builds no Fraction loads
@@ -30,7 +33,6 @@ as it finds it and returns.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import gc
 import os
@@ -45,7 +47,7 @@ MAX_N = 12  # the --max-n cap
 STRATA_MAX_N = 8
 
 
-def _check_max_n(max_n: int, parser: argparse.ArgumentParser):
+def _check_max_n(max_n: int, parser: _Parser):
     if not 2 <= max_n <= MAX_N:
         parser.error(f"--max-n must be between 2 and {MAX_N}, got {max_n}")
 
@@ -172,7 +174,7 @@ def _put_json(obj, newline: str, put):
         raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
-def _emit_series(series, args: argparse.Namespace):
+def _emit_series(series, args: _Args):
     """Components 2..max_n of a series in the p-basis, as JSON records or CSV."""
     components = {n: series.component(n) for n in range(2, args.max_n + 1)}
     if args.format == "csv":
@@ -182,7 +184,7 @@ def _emit_series(series, args: argparse.Namespace):
         _emit(_json(payload), args.output)
 
 
-def cmd_table(args: argparse.Namespace, parser) -> int:
+def cmd_table(args: _Args, parser) -> int:
     _check_max_n(args.max_n, parser)
     if args.basis == "p" and args.format == "latex":
         parser.error("latex output is only available in the schur basis")
@@ -229,7 +231,7 @@ def _numeric_tables(max_n: int, method: str) -> dict[str, dict]:
     return tables
 
 
-def cmd_numeric(args: argparse.Namespace, parser) -> int:
+def cmd_numeric(args: _Args, parser) -> int:
     _check_max_n(args.max_n, parser)
     _check_output(args.output)
     from .numeric import euler_chars
@@ -262,7 +264,7 @@ def cmd_numeric(args: argparse.Namespace, parser) -> int:
     return 0
 
 
-def cmd_m_series(args: argparse.Namespace, parser) -> int:
+def cmd_m_series(args: _Args, parser) -> int:
     _check_max_n(args.max_n, parser)
     _check_output(args.output)
     from .pointcounts import m_series
@@ -271,7 +273,7 @@ def cmd_m_series(args: argparse.Namespace, parser) -> int:
     return 0
 
 
-def cmd_strata(args: argparse.Namespace, parser) -> int:
+def cmd_strata(args: _Args, parser) -> int:
     if not 2 <= args.n <= STRATA_MAX_N:
         parser.error(f"strata enumeration supports 2 <= n <= {STRATA_MAX_N}")
     _check_output(args.output)
@@ -290,7 +292,7 @@ def cmd_strata(args: argparse.Namespace, parser) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, parser) -> int:
+def cmd_verify(args: _Args, parser) -> int:
     _check_max_n(args.max_n, parser)
     from . import checks
 
@@ -304,62 +306,205 @@ def cmd_verify(args: argparse.Namespace, parser) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse writes help and usage to stdout itself and drops a failed
-    write; this sends them through `_write_stdout`.  Subparsers take the
-    class of their parent, so every command's --help goes the same way."""
+# The command line as data: command -> (help, options).  An option is (flag,
+# kind, default): kind is int or str for an option that takes a value, a
+# tuple for one that takes one of those choices, or bool for a flag that
+# takes none; a default of ... makes the option required.  A value lands on
+# the attribute its flag names ("--max-n" -> args.max_n), and a command runs
+# cmd_<name> ("m-series" -> cmd_m_series).
+_MAX_N = ("--max-n", int, 8)
+_OUTPUT = ("--output", str, None)
+COMMANDS = {
+    "table": (
+        "equivariant Chow polynomials",
+        # only tables have a LaTeX writer
+        (_MAX_N, ("--format", ("json", "csv", "latex"), "json"), _OUTPUT, ("--basis", ("schur", "p"), "schur")),
+    ),
+    "numeric": (
+        "rank polynomials and Euler characteristics",
+        (_MAX_N, ("--format", ("json", "csv"), "json"), _OUTPUT, ("--method", METHODS, "all")),
+    ),
+    "m-series": ("the open-curves input series", (_MAX_N, ("--format", ("json", "csv"), "json"), _OUTPUT)),
+    "strata": (
+        "level-tree census and stratum sums",
+        (("--n", int, ...), ("--count-only", bool, False), _OUTPUT),
+    ),
+    "verify": ("run the self-verification suite", (_MAX_N,)),
+}
 
-    def _print_message(self, message, file=None):
-        if message and file is sys.stdout:
-            _write_stdout(message)
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+class _Args:
+    """One command's option values, as attributes named by `_dest`."""
+
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
+
+
+class _Parser:
+    """Reads an argv against `COMMANDS` as the argparse parsers it replaces
+    did: the top-level parser (``command`` None) up to the command's name,
+    then one per command.
+
+    Options are read in order.  A long option may be given by a unique
+    prefix, and its value as the next token or after ``=``; the last of a
+    repeated option wins.  ``-h``/``--help`` prints help at once and exits 0.
+    An error prints the usage line and ``<prog>: error: <message>`` on stderr
+    and exits 2: a bad or missing value at once, an ambiguous prefix before
+    any option is acted on, a missing required option after the others, and
+    an unrecognized token last.  In a command, ``--`` ends the options, and
+    everything from it on is unrecognized (no command takes a positional)."""
+
+    def __init__(self, command: str | None = None):
+        self.command = command
+        self.prog = "braidchow" if command is None else f"braidchow {command}"
+        self.options = () if command is None else COMMANDS[command][1]
+        self.kinds = {"-h": bool, "--help": bool, **{flag: kind for flag, kind, _ in self.options}}
+
+    def usage(self) -> str:
+        if self.command is None:
+            return f"usage: braidchow [-h] {{{','.join(COMMANDS)}}} ...\n"
+        words = ["[-h]"]
+        for flag, kind, default in self.options:
+            word = flag if kind is bool else f"{flag} {_metavar(flag, kind)}"
+            words.append(word if default is ... else f"[{word}]")
+        return f"usage: {self.prog} {' '.join(words)}\n"
+
+    def help(self):
+        """Print the usage line, what the parser is for and its options, and
+        exit 0."""
+        options = [("-h, --help", "show this help message and exit")]
+        for flag, kind, default in self.options:
+            note = "required" if default is ... else "" if kind is bool or default is None else f"default: {default}"
+            options.append((flag if kind is bool else f"{flag} {_metavar(flag, kind)}", note))
+        if self.command is None:
+            about = "Equivariant Chow polynomials of braid matroids, exactly."
+            sections = {"commands": [(name, text) for name, (text, _) in COMMANDS.items()], "options": options}
         else:
-            super()._print_message(message, file)
+            about, sections = COMMANDS[self.command][0], {"options": options}
+        width = 2 + max(len(left) for rows in sections.values() for left, _ in rows)
+        text = f"{self.usage()}\n{about}\n"
+        for title, rows in sections.items():
+            text += f"\n{title}:\n" + "".join(f"  {left:<{width}}{note}".rstrip() + "\n" for left, note in rows)
+        _write_stdout(text)
+        raise SystemExit(0)
+
+    def error(self, message: str):
+        try:
+            sys.stderr.write(f"{self.usage()}{self.prog}: error: {message}\n")
+        except (AttributeError, OSError):  # no stderr: the exit code still tells
+            pass
+        raise SystemExit(2)
+
+    def _match(self, token: str) -> tuple[str | None, str | None] | None:
+        """None for a value (or a positional); else (flag, the value given
+        after ``=`` or None), where flag is None for an unknown option."""
+        if token[:1] != "-" or token in ("-", "--"):
+            return None
+        if token in self.kinds:
+            return token, None
+        flag, eq, value = token.partition("=")
+        if eq and flag in self.kinds:
+            matches = [flag]
+        elif token[1] != "-":
+            # -hX: X is an explicit value, which -h takes none of, unless it
+            # is more h's, each one more -h
+            matches, value = (["-h"], token[2:]) if token.startswith("-h") else ([], None)
+        else:
+            matches = [name for name in self.kinds if name.startswith(flag)]
+            value = value if eq else None
+        if len(matches) > 1:
+            self.error(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            if matches[0] == "-h" and value and not value.strip("h"):
+                value = None  # -hh is -h twice
+            return matches[0], value
+        digits, dot, fraction = token[1:].partition(".")
+        if (digits.isdecimal() and not dot) or (fraction.isdecimal() and (not digits or digits.isdecimal())):
+            return None  # a negative number is a value
+        return None if " " in token else (None, None)
+
+    def _value(self, flag: str, kind, text: str):
+        if kind is int:
+            try:
+                return int(text)
+            except ValueError:
+                self.error(f"argument {flag}: invalid int value: {text!r}")
+        if kind is not str and text not in kind:
+            choices = ", ".join(map(repr, kind))
+            self.error(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+        return text
+
+    def parse(self, tokens: list[str]) -> tuple[dict, list[str]]:
+        """(option values, unrecognized tokens)."""
+        end = tokens.index("--") if "--" in tokens else len(tokens)
+        # argparse sorts every token before acting on any, so an ambiguous
+        # prefix is an error even after -h
+        found = [self._match(token) for token in tokens[:end]]
+        values = {_dest(flag): default for flag, _kind, default in self.options}
+        unknown = []
+        i = 0
+        while i < end:
+            match = found[i]
+            i += 1
+            if match is None or match[0] is None:
+                unknown.append(tokens[i - 1])
+                continue
+            flag, value = match
+            kind = self.kinds[flag]
+            if kind is bool:
+                is_help = flag in ("-h", "--help")
+                if value is not None:
+                    name = "-h/--help" if is_help else flag
+                    self.error(f"argument {name}: ignored explicit argument {value!r}")
+                if is_help:
+                    self.help()
+                values[_dest(flag)] = True
+                continue
+            if value is None:
+                if i == end or found[i] is not None:
+                    self.error(f"argument {flag}: expected one argument")
+                value = tokens[i]
+                i += 1
+            values[_dest(flag)] = self._value(flag, kind, value)
+        missing = [flag for flag, _kind, default in self.options if values[_dest(flag)] is ...]
+        if missing:
+            self.error(f"the following arguments are required: {', '.join(missing)}")
+        return values, unknown + tokens[end:]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="braidchow",
-        description="Equivariant Chow polynomials of braid matroids, exactly.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _metavar(flag: str, kind) -> str:
+    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else _dest(flag).upper()
 
-    def common(p, formats=("json", "csv"), method=False):
-        p.add_argument("--max-n", type=int, default=8, dest="max_n")
-        p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--output", default=None)
-        if method:
-            p.add_argument("--method", choices=METHODS, default="all")
 
-    p_table = sub.add_parser("table", help="equivariant Chow polynomials")
-    common(p_table, formats=("json", "csv", "latex"))  # only tables have a LaTeX writer
-    p_table.add_argument("--basis", choices=("schur", "p"), default="schur")
-    p_table.set_defaults(func=cmd_table, parser=p_table)
-
-    p_num = sub.add_parser("numeric", help="rank polynomials and Euler characteristics")
-    common(p_num, method=True)
-    p_num.set_defaults(func=cmd_numeric, parser=p_num)
-
-    p_m = sub.add_parser("m-series", help="the open-curves input series")
-    common(p_m)
-    p_m.set_defaults(func=cmd_m_series, parser=p_m)
-
-    p_strata = sub.add_parser("strata", help="level-tree census and stratum sums")
-    p_strata.add_argument("--n", type=int, required=True)
-    p_strata.add_argument("--count-only", action="store_true")
-    p_strata.add_argument("--output", default=None)
-    p_strata.set_defaults(func=cmd_strata, parser=p_strata)
-
-    p_verify = sub.add_parser("verify", help="run the self-verification suite")
-    p_verify.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p_verify.set_defaults(func=cmd_verify, parser=p_verify)
-
-    return parser
+def parse(argv: list[str]) -> tuple[_Parser, dict]:
+    """The parser of the command ``argv`` names, and its option values."""
+    top = _Parser()
+    # the command is the first token the top-level parser reads as no option
+    at = next((i for i, token in enumerate(argv) if top._match(token) is None), len(argv))
+    _values, unknown = top.parse(argv[:at])
+    # argparse took a "--" for the command only when a token followed it
+    if argv[at:] in ([], ["--"]):
+        top.error("the following arguments are required: command")
+    if argv[at] not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        top.error(f"argument command: invalid choice: {argv[at]!r} (choose from {choices})")
+    parser = _Parser(argv[at])
+    values, extras = parser.parse(argv[at + 1 :])
+    if unknown + extras:
+        parser.error(f"unrecognized arguments: {' '.join(unknown + extras)}")
+    return parser, values
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # each command gets its own subparser, so its usage errors print its usage line
-    return args.func(args, args.parser)
+    parser, values = parse(sys.argv[1:] if argv is None else list(argv))
+    # a command reports its usage errors through its own parser, so they
+    # print its usage line
+    run_command = globals()["cmd_" + parser.command.replace("-", "_")]
+    return run_command(_Args(values), parser)
 
 
 def _hooked() -> bool:

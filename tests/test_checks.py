@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from braidchow import checks, numeric, symseries
+from braidchow import checks, numeric, solver, symseries
 from braidchow.pointcounts import m_series
 from braidchow.serialize import schur_table_to_obj, series_to_obj
 from braidchow.solver import solve_B
@@ -59,6 +59,28 @@ def test_broken_stirling_numbers_fail_under_every_optimization_level(flags, opti
             "structural properties",
         ],
     }
+
+
+def test_psi_5_leaving_t_unscaled_fails_only_the_structural_check(monkeypatch):
+    # psi_5 maps t^e p_q to t^e p_5q: the functional equation reads the same
+    # psi, the level filtration still sums to B and the numeric routes read
+    # only the p_1^n row, so only the Schur coefficients of B_10 (15 of them
+    # no longer integers) show the fault.  With the structural check's Schur
+    # bound capped at 8, every check passed.
+    original = symseries.psi
+
+    def psi(k, f):
+        if k != 5:
+            return original(k, f)
+        return SymSeries(f.n_max, {(tuple(5 * p for p in parts), e): c for (parts, e), c in f.terms.items()})
+
+    monkeypatch.setattr(symseries, "psi", psi)
+    solver.solved_series.cache_clear()  # the checks read the solution through this cache
+    try:
+        results = checks.run_all(12, report=lambda line: None)
+    finally:
+        solver.solved_series.cache_clear()
+    assert [name for name, message in results if message is not None] == ["structural properties"]
 
 
 def test_check_raises_check_failed_with_the_failing_case(monkeypatch):
