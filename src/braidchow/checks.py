@@ -130,7 +130,7 @@ def check_plethysm_spots(ab_max: int):
         raise CheckFailed("h_2 o h_2 has the wrong expansion")
 
 
-@_check("twisted counts are counts", (None, 8))
+@_check("twisted counts are counts", (None, None))
 def check_twisted_counts(n_max: int):
     for n in range(1, n_max + 1):
         for lam in partitions_of(n):
@@ -157,7 +157,7 @@ def check_input_rank_polys(n_max: int):
             )
 
 
-@_check("input series integrality", (None, 8))
+@_check("input series integrality", (None, None))
 def check_input_integrality(n_max: int):
     M = m_series(n_max)
     for n in range(2, n_max + 1):

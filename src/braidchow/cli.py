@@ -12,12 +12,18 @@ Exit codes: 0 on success, 1 when a verification or cross-route assertion
 fails, 2 on usage errors and on output that cannot be written.  All numbers
 are emitted as exact strings.
 
+The command line is described once, in `COMMANDS`, a table of each
+command's options.  A plain argv (the command, then each flag spelled out
+in full with a value its option accepts) is read from that table directly;
+every other argv, and every usage error, goes to argparse parsers built
+from the same table.  So ``argparse``, and through it ``gettext`` and
+``locale``, loads only for help, usage errors, abbreviations, ``=`` and
+``--``, and never on a plain run.
+
 Each command imports the modules it computes with inside its own body; at
-module level this file loads only ``errno``, ``gc``, ``os``, ``sys`` and
-``serialize``.  The command line is read from `COMMANDS`, a table of each
-command's options, by `_Parser`, which accepts what argparse accepted and
-prints its messages, without loading ``argparse`` and, through it,
-``gettext`` and ``locale``.  So ``--help`` and ``strata`` compile no solver,
+module level this file loads only ``errno``, ``gc``, ``os``, ``sys``,
+``types`` (loaded at start-up anyway) and ``serialize``.  So ``--help`` and
+``strata`` compile no solver,
 ``numeric --method lattice`` (or ``stirling`` or ``bell``) no plethysm
 engine, ``table`` neither ``numeric`` nor ``combinat``, and no command but
 ``verify`` compiles ``checks``; no command that builds no Fraction loads
@@ -37,6 +43,7 @@ import errno
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from . import serialize
 
@@ -47,9 +54,9 @@ MAX_N = 12  # the --max-n cap
 STRATA_MAX_N = 8
 
 
-def _check_max_n(max_n: int, parser: _Parser):
+def _check_max_n(max_n: int, command: str):
     if not 2 <= max_n <= MAX_N:
-        parser.error(f"--max-n must be between 2 and {MAX_N}, got {max_n}")
+        _usage_error(command, f"--max-n must be between 2 and {MAX_N}, got {max_n}")
 
 
 def _output_error(output: str, reason: str):
@@ -174,7 +181,7 @@ def _put_json(obj, newline: str, put):
         raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
-def _emit_series(series, args: _Args):
+def _emit_series(series, args: SimpleNamespace):
     """Components 2..max_n of a series in the p-basis, as JSON records or CSV."""
     components = {n: series.component(n) for n in range(2, args.max_n + 1)}
     if args.format == "csv":
@@ -184,10 +191,10 @@ def _emit_series(series, args: _Args):
         _emit(_json(payload), args.output)
 
 
-def cmd_table(args: _Args, parser) -> int:
-    _check_max_n(args.max_n, parser)
+def cmd_table(args: SimpleNamespace) -> int:
+    _check_max_n(args.max_n, "table")
     if args.basis == "p" and args.format == "latex":
-        parser.error("latex output is only available in the schur basis")
+        _usage_error("table", "latex output is only available in the schur basis")
     _check_output(args.output)
     from .pointcounts import m_series
     from .solver import solve_B
@@ -231,8 +238,8 @@ def _numeric_tables(max_n: int, method: str) -> dict[str, dict]:
     return tables
 
 
-def cmd_numeric(args: _Args, parser) -> int:
-    _check_max_n(args.max_n, parser)
+def cmd_numeric(args: SimpleNamespace) -> int:
+    _check_max_n(args.max_n, "numeric")
     _check_output(args.output)
     from .numeric import euler_chars
 
@@ -264,8 +271,8 @@ def cmd_numeric(args: _Args, parser) -> int:
     return 0
 
 
-def cmd_m_series(args: _Args, parser) -> int:
-    _check_max_n(args.max_n, parser)
+def cmd_m_series(args: SimpleNamespace) -> int:
+    _check_max_n(args.max_n, "m-series")
     _check_output(args.output)
     from .pointcounts import m_series
 
@@ -273,9 +280,9 @@ def cmd_m_series(args: _Args, parser) -> int:
     return 0
 
 
-def cmd_strata(args: _Args, parser) -> int:
+def cmd_strata(args: SimpleNamespace) -> int:
     if not 2 <= args.n <= STRATA_MAX_N:
-        parser.error(f"strata enumeration supports 2 <= n <= {STRATA_MAX_N}")
+        _usage_error("strata", f"strata enumeration supports 2 <= n <= {STRATA_MAX_N}")
     _check_output(args.output)
     from .leveltrees import chain_count, epoly_Bn, level_tree_census
 
@@ -292,8 +299,8 @@ def cmd_strata(args: _Args, parser) -> int:
     return 0
 
 
-def cmd_verify(args: _Args, parser) -> int:
-    _check_max_n(args.max_n, parser)
+def cmd_verify(args: SimpleNamespace) -> int:
+    _check_max_n(args.max_n, "verify")
     from . import checks
 
     results = checks.run_all(args.max_n, report=_print)
@@ -337,174 +344,97 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-class _Args:
-    """One command's option values, as attributes named by `_dest`."""
+def _plain(argv: list[str]) -> tuple[str, dict] | None:
+    """The command and option values of a plain ``argv``, else None.
 
-    def __init__(self, values: dict):
-        self.__dict__.update(values)
-
-
-class _Parser:
-    """Reads an argv against `COMMANDS` as the argparse parsers it replaces
-    did: the top-level parser (``command`` None) up to the command's name,
-    then one per command.
-
-    Options are read in order.  A long option may be given by a unique
-    prefix, and its value as the next token or after ``=``; the last of a
-    repeated option wins.  ``-h``/``--help`` prints help at once and exits 0.
-    An error prints the usage line and ``<prog>: error: <message>`` on stderr
-    and exits 2: a bad or missing value at once, an ambiguous prefix before
-    any option is acted on, a missing required option after the others, and
-    an unrecognized token last.  In a command, ``--`` ends the options, and
-    everything from it on is unrecognized (no command takes a positional)."""
-
-    def __init__(self, command: str | None = None):
-        self.command = command
-        self.prog = "braidchow" if command is None else f"braidchow {command}"
-        self.options = () if command is None else COMMANDS[command][1]
-        self.kinds = {"-h": bool, "--help": bool, **{flag: kind for flag, kind, _ in self.options}}
-
-    def usage(self) -> str:
-        if self.command is None:
-            return f"usage: braidchow [-h] {{{','.join(COMMANDS)}}} ...\n"
-        words = ["[-h]"]
-        for flag, kind, default in self.options:
-            word = flag if kind is bool else f"{flag} {_metavar(flag, kind)}"
-            words.append(word if default is ... else f"[{word}]")
-        return f"usage: {self.prog} {' '.join(words)}\n"
-
-    def help(self):
-        """Print the usage line, what the parser is for and its options, and
-        exit 0."""
-        options = [("-h, --help", "show this help message and exit")]
-        for flag, kind, default in self.options:
-            note = "required" if default is ... else "" if kind is bool or default is None else f"default: {default}"
-            options.append((flag if kind is bool else f"{flag} {_metavar(flag, kind)}", note))
-        if self.command is None:
-            about = "Equivariant Chow polynomials of braid matroids, exactly."
-            sections = {"commands": [(name, text) for name, (text, _) in COMMANDS.items()], "options": options}
-        else:
-            about, sections = COMMANDS[self.command][0], {"options": options}
-        width = 2 + max(len(left) for rows in sections.values() for left, _ in rows)
-        text = f"{self.usage()}\n{about}\n"
-        for title, rows in sections.items():
-            text += f"\n{title}:\n" + "".join(f"  {left:<{width}}{note}".rstrip() + "\n" for left, note in rows)
-        _write_stdout(text)
-        raise SystemExit(0)
-
-    def error(self, message: str):
-        try:
-            sys.stderr.write(f"{self.usage()}{self.prog}: error: {message}\n")
-        except (AttributeError, OSError):  # no stderr: the exit code still tells
-            pass
-        raise SystemExit(2)
-
-    def _match(self, token: str) -> tuple[str | None, str | None] | None:
-        """None for a value (or a positional); else (flag, the value given
-        after ``=`` or None), where flag is None for an unknown option."""
-        if token[:1] != "-" or token in ("-", "--"):
+    An argv is plain when it is a command, then flags spelled out in full,
+    each that takes a value followed by one that does not start with "-"
+    and that the option accepts (``int`` parses it, or it is one of the
+    choices), with every required option given.  argparse reads such an argv
+    the same way, the last repeat winning; every other argv goes to it."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = COMMANDS[argv[0]][1]
+    kinds = {flag: kind for flag, kind, _default in options}
+    values = {_dest(flag): default for flag, _kind, default in options}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kind = kinds.get(flag)
+        if kind is bool:
+            values[_dest(flag)] = True
+            continue
+        value = next(tokens, "-")
+        if kind is None or value[:1] == "-" or isinstance(kind, tuple) and value not in kind:
             return None
-        if token in self.kinds:
-            return token, None
-        flag, eq, value = token.partition("=")
-        if eq and flag in self.kinds:
-            matches = [flag]
-        elif token[1] != "-":
-            # -hX: X is an explicit value, which -h takes none of, unless it
-            # is more h's, each one more -h
-            matches, value = (["-h"], token[2:]) if token.startswith("-h") else ([], None)
-        else:
-            matches = [name for name in self.kinds if name.startswith(flag)]
-            value = value if eq else None
-        if len(matches) > 1:
-            self.error(f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            if matches[0] == "-h" and value and not value.strip("h"):
-                value = None  # -hh is -h twice
-            return matches[0], value
-        digits, dot, fraction = token[1:].partition(".")
-        if (digits.isdecimal() and not dot) or (fraction.isdecimal() and (not digits or digits.isdecimal())):
-            return None  # a negative number is a value
-        return None if " " in token else (None, None)
-
-    def _value(self, flag: str, kind, text: str):
         if kind is int:
             try:
-                return int(text)
+                value = int(value)
             except ValueError:
-                self.error(f"argument {flag}: invalid int value: {text!r}")
-        if kind is not str and text not in kind:
-            choices = ", ".join(map(repr, kind))
-            self.error(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
-        return text
+                return None
+        values[_dest(flag)] = value
+    return None if ... in values.values() else (argv[0], values)
 
-    def parse(self, tokens: list[str]) -> tuple[dict, list[str]]:
-        """(option values, unrecognized tokens)."""
-        end = tokens.index("--") if "--" in tokens else len(tokens)
-        # argparse sorts every token before acting on any, so an ambiguous
-        # prefix is an error even after -h
-        found = [self._match(token) for token in tokens[:end]]
-        values = {_dest(flag): default for flag, _kind, default in self.options}
-        unknown = []
-        i = 0
-        while i < end:
-            match = found[i]
-            i += 1
-            if match is None or match[0] is None:
-                unknown.append(tokens[i - 1])
-                continue
-            flag, value = match
-            kind = self.kinds[flag]
+
+def _argparse_parsers():
+    """The argparse parser of `COMMANDS` and its subparser of each command.
+
+    Built only for an argv that is not plain and for a usage error, so no
+    plain run loads ``argparse``.  Help goes to stdout through
+    `_write_stdout`; a fixed width keeps each usage on one line."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def _get_formatter(self):
+            return argparse.HelpFormatter(self.prog, width=1000)
+
+        def _print_message(self, message, file=None):
+            if message and file is sys.stdout:
+                _write_stdout(message)
+            else:
+                super()._print_message(message, file)
+
+    top = Parser(prog="braidchow", description="Equivariant Chow polynomials of braid matroids, exactly.")
+    commands = top.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for name, (about, options) in COMMANDS.items():
+        parser = parsers[name] = commands.add_parser(name, help=about, description=about)
+        for flag, kind, default in options:
             if kind is bool:
-                is_help = flag in ("-h", "--help")
-                if value is not None:
-                    name = "-h/--help" if is_help else flag
-                    self.error(f"argument {name}: ignored explicit argument {value!r}")
-                if is_help:
-                    self.help()
-                values[_dest(flag)] = True
-                continue
-            if value is None:
-                if i == end or found[i] is not None:
-                    self.error(f"argument {flag}: expected one argument")
-                value = tokens[i]
-                i += 1
-            values[_dest(flag)] = self._value(flag, kind, value)
-        missing = [flag for flag, _kind, default in self.options if values[_dest(flag)] is ...]
-        if missing:
-            self.error(f"the following arguments are required: {', '.join(missing)}")
-        return values, unknown + tokens[end:]
+                parser.add_argument(flag, action="store_true")
+            elif default is ...:
+                parser.add_argument(flag, type=kind, required=True, help="required")
+            else:
+                note = None if default is None else f"default: {default}"
+                typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+                parser.add_argument(flag, default=default, help=note, **typed)
+    return top, parsers
 
 
-def _metavar(flag: str, kind) -> str:
-    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else _dest(flag).upper()
+def _usage_error(command: str, message: str):
+    """Print ``command``'s usage line and ``message`` on stderr and exit 2,
+    through its argparse subparser."""
+    _argparse_parsers()[1][command].error(message)
 
 
-def parse(argv: list[str]) -> tuple[_Parser, dict]:
-    """The parser of the command ``argv`` names, and its option values."""
-    top = _Parser()
-    # the command is the first token the top-level parser reads as no option
-    at = next((i for i, token in enumerate(argv) if top._match(token) is None), len(argv))
-    _values, unknown = top.parse(argv[:at])
-    # argparse took a "--" for the command only when a token followed it
-    if argv[at:] in ([], ["--"]):
-        top.error("the following arguments are required: command")
-    if argv[at] not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        top.error(f"argument command: invalid choice: {argv[at]!r} (choose from {choices})")
-    parser = _Parser(argv[at])
-    values, extras = parser.parse(argv[at + 1 :])
-    if unknown + extras:
-        parser.error(f"unrecognized arguments: {' '.join(unknown + extras)}")
-    return parser, values
+def parse(argv: list[str]) -> tuple[str, dict]:
+    """The command ``argv`` names, and its option values.  A plain argv is
+    read by `_plain`; any other goes to argparse, whose errors print the
+    usage line of the command they are in."""
+    plain = _plain(argv)
+    if plain is not None:
+        return plain
+    top, parsers = _argparse_parsers()
+    namespace, unknown = top.parse_known_args(argv)
+    values = vars(namespace)
+    command = values.pop("command")
+    if unknown:
+        parsers[command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, values
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, values = parse(sys.argv[1:] if argv is None else list(argv))
-    # a command reports its usage errors through its own parser, so they
-    # print its usage line
-    run_command = globals()["cmd_" + parser.command.replace("-", "_")]
-    return run_command(_Args(values), parser)
+    command, values = parse(sys.argv[1:] if argv is None else list(argv))
+    return globals()["cmd_" + command.replace("-", "_")](SimpleNamespace(**values))
 
 
 def _hooked() -> bool:

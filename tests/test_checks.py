@@ -13,12 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from braidchow import checks, numeric, solver, symseries
+from braidchow import characters, checks, numeric, pointcounts, solver, symseries
 from braidchow.pointcounts import m_series
 from braidchow.serialize import schur_table_to_obj, series_to_obj
 from braidchow.solver import solve_B
-from braidchow.symseries import SymSeries
-from braidchow.tpoly import TPoly
+from braidchow.symseries import PlethysmCache, SymSeries
+from braidchow.tpoly import T, TPoly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,26 +61,115 @@ def test_broken_stirling_numbers_fail_under_every_optimization_level(flags, opti
     }
 
 
-def test_psi_5_leaving_t_unscaled_fails_only_the_structural_check(monkeypatch):
-    # psi_5 maps t^e p_q to t^e p_5q: the functional equation reads the same
-    # psi, the level filtration still sums to B and the numeric routes read
-    # only the p_1^n row, so only the Schur coefficients of B_10 (15 of them
-    # no longer integers) show the fault.  With the structural check's Schur
-    # bound capped at 8, every check passed.
-    original = symseries.psi
+# -- the fault matrix -------------------------------------------------------------
+# Each fault is monkeypatched into one layer; the row pins the exact set of
+# checks that `run_all` fails at the stated --max-n.
 
-    def psi(k, f):
-        if k != 5:
-            return original(k, f)
-        return SymSeries(f.n_max, {(tuple(5 * p for p in parts), e): c for (parts, e), c in f.terms.items()})
 
-    monkeypatch.setattr(symseries, "psi", psi)
+def leave_t_unscaled(k):
+    """psi_k maps t^e p_q to t^e p_kq, not t^(ke) p_kq."""
+
+    def install(monkeypatch):
+        original = symseries.psi
+
+        def psi(j, f):
+            if j != k:
+                return original(j, f)
+            return SymSeries(f.n_max, {(tuple(k * p for p in parts), e): c for (parts, e), c in f.terms.items()})
+
+        monkeypatch.setattr(symseries, "psi", psi)
+
+    return install
+
+
+def bump_m(k):
+    """M_k += t p_k."""
+
+    def install(monkeypatch):
+        original = pointcounts.m_component
+        bump = SymSeries.p(k, k) * T
+        monkeypatch.setattr(pointcounts, "m_component", lambda n: original(n) + bump if n == k else original(n))
+
+    return install
+
+
+def flip_strips(size):
+    """Every border strip of ``size`` the Schur expansion adds has its sign flipped."""
+
+    def install(monkeypatch):
+        original = characters._add_strips
+
+        def add_strips(mask, r):
+            strips = original(mask, r)
+            return tuple((sup, -sign) for sup, sign in strips) if r == size else strips
+
+        monkeypatch.setattr(characters, "_add_strips", add_strips)
+
+    return install
+
+
+def narrow_fit(monkeypatch):
+    """`PlethysmCache.fit` packs one bit narrower than a bound needs:
+    halving the bound drops one bit from its bit length."""
+    original = PlethysmCache.fit
+    monkeypatch.setattr(PlethysmCache, "fit", lambda self, bound: original(self, bound >> 1))
+
+
+def drop_quotient_row(monkeypatch):
+    """`solver._divexact_tminus1` drops its quotient's p_(d) row in each degree d."""
+    original = solver._divexact_tminus1
+
+    def divexact(s):
+        form = {}
+        for d, (den, rows) in original(s)._int.items():
+            rows = {parts: row for parts, row in rows.items() if parts != (d,)}
+            if rows:
+                form[d] = (den, rows)
+        return SymSeries._from_int(s.n_max, form)
+
+    monkeypatch.setattr(solver, "_divexact_tminus1", divexact)
+
+
+# psi_5 leaving t unscaled changes 15 Schur coefficients of B_10 (no longer
+# integers); the functional equation reads the same psi, the level
+# filtration still sums to B and the numeric routes read only the p_1^n row,
+# so only the structural check sees it, and only since its Schur bound
+# follows --max-n past 8.  The narrow width shows only in the small
+# plethysms of the spot identities: the solver's caches widen by at least
+# 3x at a time, so their width stays above what the bounds need.
+FAULTS = {
+    "M_7 += t p_7": (bump_m(7), 8, ["structural properties"]),
+    "M_9 += t p_9": (bump_m(9), 12, ["structural properties"]),
+    "M_12 += t p_12": (bump_m(12), 12, ["structural properties"]),
+    "psi_2 leaves t unscaled": (leave_t_unscaled(2), 8, ["reference table reproduction", "structural properties"]),
+    "psi_3 leaves t unscaled": (leave_t_unscaled(3), 8, ["reference table reproduction", "structural properties"]),
+    "psi_5 leaves t unscaled": (leave_t_unscaled(5), 12, ["structural properties"]),
+    "strips of size 9 flip sign": (flip_strips(9), 12, ["input series integrality", "structural properties"]),
+    "fit one bit narrow": (narrow_fit, 8, ["plethysm spot identities"]),
+    "divexact drops a row": (
+        drop_quotient_row,
+        8,
+        ["functional equation", "reference table reproduction", "structural properties"],
+    ),
+}
+
+
+def clear_series_caches():
+    pointcounts.m_series.cache_clear()
     solver.solved_series.cache_clear()  # the checks read the solution through this cache
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_fault_fails_exactly_its_checks(monkeypatch, fault):
+    install, max_n, failing = FAULTS[fault]
+    install(monkeypatch)
+    clear_series_caches()
     try:
-        results = checks.run_all(12, report=lambda line: None)
+        results = checks.run_all(max_n, report=lambda line: None)
     finally:
-        solver.solved_series.cache_clear()
-    assert [name for name, message in results if message is not None] == ["structural properties"]
+        monkeypatch.undo()
+        clear_series_caches()
+    assert [name for name, message in results if message is not None] == failing
 
 
 def test_check_raises_check_failed_with_the_failing_case(monkeypatch):
