@@ -125,10 +125,6 @@ class SymSeries:
         return cls(n_max)
 
     @classmethod
-    def one(cls, n_max: int) -> "SymSeries":
-        return cls(n_max, {((), 0): 1})
-
-    @classmethod
     def p(cls, parts: Partition | int, n_max: int | None = None) -> "SymSeries":
         """The power-sum monomial p_lambda (an int means the single part (n))."""
         if isinstance(parts, int):

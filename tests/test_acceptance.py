@@ -83,7 +83,7 @@ def test_criterion_6_level_tree_census(capsys):
 
 def test_criterion_7_structural_properties(capsys):
     with capsys.disabled(), _Report(7, "structural properties of all outputs"):
-        run_check("structural properties", 10, 8)
+        run_check("structural properties", 10)
 
 
 def test_criterion_8_combinatorial_identities(capsys):

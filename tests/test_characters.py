@@ -179,7 +179,7 @@ def test_schur_expand_rejects_a_degree_past_the_known_one():
 
 
 def test_schur_expand_in_degree_zero():
-    assert schur_expand(SymSeries.one(0), 0) == {(): TPoly.const(1)}
+    assert schur_expand(SymSeries.p((), 0), 0) == {(): TPoly.const(1)}
     assert schur_expand(SymSeries.zero(0), 0) == {}
     with pytest.raises(ValueError):
         schur_expand(SymSeries.zero(0), -1)

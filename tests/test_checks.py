@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from braidchow import characters, checks, numeric, pointcounts, solver, symseries
+from braidchow.partitions import partitions_of, z_lambda
 from braidchow.pointcounts import m_series
 from braidchow.serialize import schur_table_to_obj, series_to_obj
 from braidchow.solver import solve_B
@@ -82,15 +83,19 @@ def leave_t_unscaled(k):
     return install
 
 
-def bump_m(k):
-    """M_k += t p_k."""
+def bump_m(k, bump):
+    """M_k += bump."""
 
     def install(monkeypatch):
         original = pointcounts.m_component
-        bump = SymSeries.p(k, k) * T
         monkeypatch.setattr(pointcounts, "m_component", lambda n: original(n) + bump if n == k else original(n))
 
     return install
+
+
+def t_e_minus_h(k):
+    """t (e_k - h_k) = t (s_(1^k) - s_(k)): -2t p_mu / z_mu for each odd class mu."""
+    return SymSeries(k, {(mu, 1): Fraction(-2, z_lambda(mu)) for mu in partitions_of(k) if (k - len(mu)) % 2})
 
 
 def flip_strips(size):
@@ -133,14 +138,18 @@ def drop_quotient_row(monkeypatch):
 # psi_5 leaving t unscaled changes 15 Schur coefficients of B_10 (no longer
 # integers); the functional equation reads the same psi, the level
 # filtration still sums to B and the numeric routes read only the p_1^n row,
-# so only the structural check sees it, and only since its Schur bound
-# follows --max-n past 8.  The narrow width shows only in the small
-# plethysms of the spot identities: the solver's caches widen by at least
-# 3x at a time, so their width stays above what the bounds need.
+# so only the structural check sees it, and only since it reads Schur
+# coefficients past n = 8.  t (e_7 - h_7) is rank-neutral and leaves every
+# Schur coefficient and character value nonnegative: only the two
+# structural theorems see it (B_7's s_7 coefficient is no palindrome, B_8's
+# s_(3,1^5) coefficient is not unimodal).  The narrow width shows only in
+# the small plethysms of the spot identities: the solver's caches widen by
+# at least 3x at a time, so their width stays above what the bounds need.
 FAULTS = {
-    "M_7 += t p_7": (bump_m(7), 8, ["structural properties"]),
-    "M_9 += t p_9": (bump_m(9), 12, ["structural properties"]),
-    "M_12 += t p_12": (bump_m(12), 12, ["structural properties"]),
+    "M_7 += t p_7": (bump_m(7, SymSeries.p(7) * T), 8, ["structural properties"]),
+    "M_7 += t (e_7 - h_7)": (bump_m(7, t_e_minus_h(7)), 8, ["structural properties"]),
+    "M_9 += t p_9": (bump_m(9, SymSeries.p(9) * T), 12, ["structural properties"]),
+    "M_12 += t p_12": (bump_m(12, SymSeries.p(12) * T), 12, ["structural properties"]),
     "psi_2 leaves t unscaled": (leave_t_unscaled(2), 8, ["reference table reproduction", "structural properties"]),
     "psi_3 leaves t unscaled": (leave_t_unscaled(3), 8, ["reference table reproduction", "structural properties"]),
     "psi_5 leaves t unscaled": (leave_t_unscaled(5), 12, ["structural properties"]),
@@ -195,7 +204,28 @@ def test_a_negative_character_value_fails_the_structural_check(monkeypatch):
         checks.CheckFailed,
         match=r"^character value at mu=\(1, 1, 1\), n=3 is not nonnegative integral$",
     ):
-        dict(checks.CHECKS)["structural properties"](4, 4)
+        dict(checks.CHECKS)["structural properties"](4)
+
+
+# B_n's Schur coefficients perturbed, each still a nonnegative integer
+# polynomial, with every character value still nonnegative: t (e_7 - h_7)
+# takes t from the s_7 coefficient 1 + 13t + 50t^2 + 50t^3 + 13t^4 + t^5, and
+# 20 (t + t^3) h_6 turns the s_6 coefficient into 1 + 29t + 19t^2 + 29t^3 + t^4
+THEOREM_BREAKS = {
+    "no palindrome": (t_e_minus_h(7), r"^Schur coefficient of \(7,\) at n=7 is not palindromic in degree 5$"),
+    "not unimodal": (SymSeries.h(6) * TPoly((0, 20, 0, 20)), r"^Schur coefficient of \(6,\) at n=6 is not unimodal$"),
+}
+
+
+@pytest.mark.parametrize("theorem_break", THEOREM_BREAKS)
+def test_a_schur_coefficient_breaking_duality_or_lefschetz_fails_the_structural_check(
+    monkeypatch, theorem_break
+):
+    bump, message = THEOREM_BREAKS[theorem_break]
+    original = checks.solved_series
+    monkeypatch.setattr(checks, "solved_series", lambda n_max: original(n_max) + bump)
+    with pytest.raises(checks.CheckFailed, match=message):
+        dict(checks.CHECKS)["structural properties"](bump.n_max)
 
 
 def test_run_all_reports_each_check_failed_message(monkeypatch):

@@ -821,7 +821,7 @@ PINNED_VERIFY_BOUNDS = {
     "reference table reproduction": [(2,), (6,), (6,)],
     "numeric route agreement": [(2, 2), (8, 8), (12, 10)],
     "euler characteristics": [(5,), (8,), (12,)],
-    "structural properties": [(2, 2), (8, 8), (12, 12)],
+    "structural properties": [(2,), (8,), (12,)],
     "level filtration": [(2,), (8,), (12,)],
     "level tree census": [(2,), (6,), (6,)],
     "strata oracle": [(2,), (8,), (12,)],

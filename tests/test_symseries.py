@@ -135,8 +135,8 @@ def exp_oracle_h(n):
     s = SymSeries.zero(n)
     for k in range(1, n + 1):
         s = s + P((k,), n) * Fraction(1, k)
-    ex = SymSeries.one(n)
-    power = SymSeries.one(n)
+    ex = SymSeries.p((), n)
+    power = SymSeries.p((), n)
     for k in range(1, n + 1):
         power = power * s
         ex = ex + power * Fraction(1, factorial(k))
@@ -268,7 +268,7 @@ def test_h2_circ_h2_against_orbit_oracle():
 
 def test_plethysm_rejects_constant_term():
     with pytest.raises(ValueError):
-        plethysm(SymSeries.h(2, 4), SymSeries.one(4))
+        plethysm(SymSeries.h(2, 4), SymSeries.p((), 4))
     # a term in t alone is refused too: with g = t + p_1, f = p_1 and
     # f' = p_1 + p_1^3 agree through degree 2, but (t + p_1)^3 would put
     # t^3, 3 p_1 t^2 and 3 p_11 t into f' o g below degree 3
@@ -646,7 +646,7 @@ def test_rk_respects_plethysm(f, g):
 
 
 def test_components_partition_the_series():
-    f = SymSeries.h(3, 5) + P((2, 2), 5, t=1) + SymSeries.one(5)
+    f = SymSeries.h(3, 5) + P((2, 2), 5, t=1) + SymSeries.p((), 5)
     rebuilt = SymSeries.zero(5)
     for n in sorted(f.degrees()):
         part = f.component(n)
@@ -662,7 +662,7 @@ def test_sorted_terms_order():
 
 
 def test_components_match_component():
-    f = SymSeries.h(3, 5) + P((2, 2), 5, t=1) + SymSeries.one(5)
+    f = SymSeries.h(3, 5) + P((2, 2), 5, t=1) + SymSeries.p((), 5)
     assert f.components == {n: f.component(n) for n in f.degrees()}
     assert not f.component(5) and f.component(5).n_max == 5
 
